@@ -416,10 +416,10 @@ let learn_cmd =
             Wrapper_io.save w path;
             Format.printf "saved     : %s@." path
         | None -> ());
+        let c = Wrapper.compile w in
         List.iter
           (fun f ->
-            let doc = Html_tree.parse (read_file f) in
-            match Wrapper.extract w doc with
+            match Wrapper.extract_raw c (read_file f) with
             | Ok path ->
                 Format.printf "%s: target at %s@." f
                   (String.concat "." (List.map string_of_int path))
@@ -449,11 +449,11 @@ let apply_cmd =
         Format.eprintf "%s: %s@." wrapper_file e;
         exit 2
     | Ok w ->
+        let c = Wrapper.compile w in
         let failures = ref 0 in
         List.iter
           (fun f ->
-            let doc = Html_tree.parse (read_file f) in
-            match Wrapper.extract w doc with
+            match Wrapper.extract_raw c (read_file f) with
             | Ok path ->
                 Format.printf "%s: target at %s@." f
                   (String.concat "." (List.map string_of_int path))
@@ -493,7 +493,8 @@ let batch_cmd =
   in
   let stats_arg =
     let doc =
-      "Print runtime cache and domain-pool statistics to stderr when done."
+      "Print runtime cache, domain-pool and page front-end statistics to \
+       stderr when done."
     in
     Arg.(value & flag & info [ "stats" ] ~doc)
   in
@@ -514,17 +515,8 @@ let batch_cmd =
     in
     Arg.(value & opt string "auto" & info [ "chunk" ] ~docv:"auto|N" ~doc)
   in
-  let fused_arg =
-    let doc =
-      "Extract through the fused page front-end: raw HTML bytes are lexed, \
-       interned, and matched in one pass with no intermediate parse tree \
-       (zero-copy streaming).  Output is identical to the default \
-       tree-building path."
-    in
-    Arg.(value & flag & info [ "fused" ] ~doc)
-  in
   let run wrapper_file load pages jobs cache_size stats fuel deadline_ms
-      retries inject chunk fused trace metrics =
+      retries inject chunk trace metrics =
     handle_errors @@ fun () ->
     obs_setup trace metrics;
     let chunk =
@@ -565,14 +557,10 @@ let batch_cmd =
           | Ok w -> w)
     in
     let jobs = if jobs <= 0 then Batch.recommended_jobs () else jobs in
+    (* raw bytes straight into the fused front-end: no parse tree *)
     let results =
-      if fused then
-        let raw = List.map read_file pages in
-        Wrapper.extract_raw_batch ~jobs ~chunk ?fuel ?deadline_ms ~retries w
-          raw
-      else
-        let docs = List.map (fun f -> Html_tree.parse (read_file f)) pages in
-        Wrapper.extract_batch ~jobs ~chunk ?fuel ?deadline_ms ~retries w docs
+      Wrapper.extract_raw_batch ~jobs ~chunk ?fuel ?deadline_ms ~retries w
+        (List.map read_file pages)
     in
     let failures = ref 0 and unknowns = ref 0 in
     List.iter2
@@ -590,7 +578,7 @@ let batch_cmd =
     if stats then begin
       Format.eprintf "%a" Runtime.Stats.pp (Runtime.stats ());
       Format.eprintf "%a" Pool.pp_stats (Pool.stats ());
-      if fused then Format.eprintf "%a" Front.pp_stats (Front.stats ())
+      Format.eprintf "%a" Front.pp_stats (Front.stats ())
     end;
     if !unknowns > 0 then exit exit_unknown;
     if !failures > 0 then exit 1
@@ -604,8 +592,8 @@ let batch_cmd =
       const run $ wrapper_arg
       $ load_arg ~instead_of:"a 'learn --save' wrapper file"
       $ pages_arg $ jobs_arg $ cache_size_arg $ stats_arg $ fuel_arg
-      $ deadline_arg $ retries_arg $ inject_fault_arg $ chunk_arg $ fused_arg
-      $ trace_arg $ metrics_arg)
+      $ deadline_arg $ retries_arg $ inject_fault_arg $ chunk_arg $ trace_arg
+      $ metrics_arg)
 
 (* --- serve --- *)
 

@@ -17,7 +17,12 @@ let pages_total = Atomic.make 0
 let bytes_total = Atomic.make 0
 let tables_built = Atomic.make 0
 let entries_total = Atomic.make 0
-let interner = Obs.Counter2.make ()
+
+(* interner traffic: engines count locally and flush once per feed, so
+   the per-tag path writes no shared word; plain atomics, not a packed
+   Counter2, because a fleet-scale tag count overflows 31 bits *)
+let interner_hits = Atomic.make 0
+let interner_misses = Atomic.make 0
 
 (* last matcher geometry seen by extract/splits: alphabet width vs
    compressed class count — the compression ratio --stats reports *)
@@ -139,24 +144,14 @@ let slice_is_key s pos len key =
   done;
   !ok
 
-(* lookup by slice; returns [dummy] on miss.  Counts interner traffic. *)
+(* lookup by slice; returns [dummy] on miss (the caller counts it) *)
+let rec probe slots mask s pos len idx =
+  let e = Array.unsafe_get slots (idx land mask) in
+  if e == dummy || slice_is_key s pos len e.e_key then e
+  else probe slots mask s pos len (idx + 1)
+
 let lookup tbl s pos len =
-  let mask = tbl.t_mask in
-  let idx = ref (fnv_slice s pos len land mask) in
-  let res = ref dummy in
-  (try
-     while true do
-       let e = Array.unsafe_get tbl.t_slots (!idx land mask) in
-       if e == dummy then raise_notrace Exit
-       else if slice_is_key s pos len e.e_key then begin
-         res := e;
-         raise_notrace Exit
-       end
-       else incr idx
-     done
-   with Exit -> ());
-  if !res == dummy then Obs.Counter2.miss interner else Obs.Counter2.hit interner;
-  !res
+  probe tbl.t_slots tbl.t_mask s pos len (fnv_slice s pos len)
 
 (* A symbol is reachable as a plain start tag iff it could come out of
    Abstraction.start_symbol for some lexed name: nonempty, name
@@ -261,20 +256,22 @@ let build ?(abs = Abstraction.Tags) alpha =
 exception Unknown_sym of string
 exception Need_more of int
 
-type frame = {
-  f_ent : entry;
-  f_index : int;  (* child index in the parent *)
-  f_node : int;  (* arena node id, -1 when the arena is off *)
-  mutable f_next : int;  (* children added so far *)
-}
-
 type mode = M_text | M_comment | M_doctype | M_raw | M_rawend | M_skipgt
 
+(* The hot loop allocates nothing per tag: the open-element stack is
+   four parallel arrays (grown by doubling), the start-tag scan keeps
+   its attribute capture in engine fields, and interner traffic is
+   counted here and flushed to the global totals once per [feed]. *)
 type engine = {
   tbl : table;
   arena : bool;
   mutable on_sym : int -> unit;
-  mutable stack : frame list;  (* open elements, innermost first *)
+  (* open elements, [depth - 1] innermost *)
+  mutable depth : int;
+  mutable st_ent : entry array;
+  mutable st_index : int array;  (* child index in the parent *)
+  mutable st_node : int array;  (* arena node id, -1 when the arena is off *)
+  mutable st_next : int array;  (* children added so far *)
   mutable root_next : int;
   mutable mode : mode;
   mutable text_nonspace : bool;  (* current text run survives the filter *)
@@ -292,16 +289,29 @@ type engine = {
   mutable nd_len : int;
   mutable carry : string;
   mutable dead : bool;
+  mutable n_hits : int;  (* interner traffic since the last flush *)
+  mutable n_misses : int;
+  (* scan_start's refining-attribute capture: 0 none, 1 value at
+     [cap_vpos, cap_vlen), 2 valueless *)
+  mutable cap_found : int;
+  mutable cap_vpos : int;
+  mutable cap_vlen : int;
 }
 
 type stream = engine
+
+let stack_cap = 16
 
 let make_engine tbl ~arena =
   {
     tbl;
     arena;
     on_sym = ignore;
-    stack = [];
+    depth = 0;
+    st_ent = Array.make stack_cap dummy;
+    st_index = Array.make stack_cap 0;
+    st_node = Array.make stack_cap 0;
+    st_next = Array.make stack_cap 0;
     root_next = 0;
     mode = M_text;
     text_nonspace = false;
@@ -319,25 +329,63 @@ let make_engine tbl ~arena =
     nd_len = 0;
     carry = "";
     dead = false;
+    n_hits = 0;
+    n_misses = 0;
+    cap_found = 0;
+    cap_vpos = 0;
+    cap_vlen = 0;
   }
 
-let grow a len =
-  let b = Array.make (2 * max 1 (Array.length a)) 0 in
+let grow_with fill a len =
+  let b = Array.make (2 * max 1 (Array.length a)) fill in
   Array.blit a 0 b 0 len;
   b
 
-let add_child eng =
-  match eng.stack with
-  | fr :: _ ->
-      let i = fr.f_next in
-      fr.f_next <- i + 1;
-      i
-  | [] ->
-      let i = eng.root_next in
-      eng.root_next <- i + 1;
-      i
+let grow a len = grow_with 0 a len
 
-let parent_node eng = match eng.stack with fr :: _ -> fr.f_node | [] -> -1
+let count_lookup eng e =
+  if e == dummy then eng.n_misses <- eng.n_misses + 1
+  else eng.n_hits <- eng.n_hits + 1
+
+let flush_counts eng =
+  if eng.n_hits > 0 then begin
+    ignore (Atomic.fetch_and_add interner_hits eng.n_hits);
+    eng.n_hits <- 0
+  end;
+  if eng.n_misses > 0 then begin
+    ignore (Atomic.fetch_and_add interner_misses eng.n_misses);
+    eng.n_misses <- 0
+  end
+
+let push eng e index node =
+  let d = eng.depth in
+  if d = Array.length eng.st_ent then begin
+    eng.st_ent <- grow_with dummy eng.st_ent d;
+    eng.st_index <- grow eng.st_index d;
+    eng.st_node <- grow eng.st_node d;
+    eng.st_next <- grow eng.st_next d
+  end;
+  Array.unsafe_set eng.st_ent d e;
+  Array.unsafe_set eng.st_index d index;
+  Array.unsafe_set eng.st_node d node;
+  Array.unsafe_set eng.st_next d 0;
+  eng.depth <- d + 1
+
+let add_child eng =
+  let d = eng.depth - 1 in
+  if d >= 0 then begin
+    let i = Array.unsafe_get eng.st_next d in
+    Array.unsafe_set eng.st_next d (i + 1);
+    i
+  end
+  else begin
+    let i = eng.root_next in
+    eng.root_next <- i + 1;
+    i
+  end
+
+let parent_node eng =
+  if eng.depth > 0 then Array.unsafe_get eng.st_node (eng.depth - 1) else -1
 
 let alloc_node eng parent index =
   if not eng.arena then -1
@@ -355,11 +403,11 @@ let alloc_node eng parent index =
 
 (* path of the node whose symbol is being emitted (on_sym context) *)
 let cur_path eng =
-  let rec go acc = function
-    | [] -> acc
-    | fr :: rest -> go (fr.f_index :: acc) rest
-  in
-  go [ eng.cur_index ] eng.stack
+  let acc = ref [ eng.cur_index ] in
+  for d = eng.depth - 1 downto 0 do
+    acc := eng.st_index.(d) :: !acc
+  done;
+  !acc
 
 (* path of an arena node, outermost index first *)
 let node_path eng nd =
@@ -373,15 +421,15 @@ let emit eng sym =
   eng.on_sym sym
 
 let close_top eng =
-  match eng.stack with
-  | [] -> ()
-  | fr :: rest ->
-      eng.stack <- rest;
-      eng.cur_index <- fr.f_index;
-      eng.cur_node <- fr.f_node;
-      let e = fr.f_ent in
-      if e.e_close >= 0 then emit eng e.e_close
-      else raise (Unknown_sym ("/" ^ e.e_key))
+  if eng.depth > 0 then begin
+    let d = eng.depth - 1 in
+    eng.depth <- d;
+    eng.cur_index <- Array.unsafe_get eng.st_index d;
+    eng.cur_node <- Array.unsafe_get eng.st_node d;
+    let e = Array.unsafe_get eng.st_ent d in
+    if e.e_close >= 0 then emit eng e.e_close
+    else raise (Unknown_sym ("/" ^ e.e_key))
+  end
 
 let flush_text eng =
   if eng.text_nonspace then ignore (add_child eng);
@@ -432,31 +480,34 @@ let refined_error e s vpos vlen =
   e.e_key ^ ":" ^ e.e_attr ^ "="
   ^ String.lowercase_ascii (Html_lexer.decode_entities (String.sub s vpos vlen))
 
+(* pop the open elements an incoming start tag implicitly closes *)
+let rec imply eng flags =
+  if eng.depth > 0 then begin
+    let g = (Array.unsafe_get eng.st_ent (eng.depth - 1)).e_grp in
+    if g >= 0 && (flags lsr g) land 1 = 1 then begin
+      close_top eng;
+      imply eng flags
+    end
+  end
+
 (* start-tag resolution: implied closes, then the (possibly refined)
    open symbol, then leaf/push and the raw-text mode switch.  All
    emissions happen in tree-walk order so the first Unknown_sym matches
-   Tag_seq.of_doc_indexed on the equivalent tree. *)
-let process_start eng s e npos nlen ~self_closing ~cap_found ~cap_vpos ~cap_vlen =
+   Tag_seq.of_doc_indexed on the equivalent tree.  The refining
+   attribute's capture is read from the engine's cap_* fields. *)
+let process_start eng s e npos nlen ~self_closing =
   let flags =
     if e != dummy then e.e_inflags else inflags_of (upper_slice s npos nlen)
   in
-  let rec imply () =
-    match eng.stack with
-    | fr :: _
-      when fr.f_ent.e_grp >= 0 && (flags lsr fr.f_ent.e_grp) land 1 = 1 ->
-        close_top eng;
-        imply ()
-    | _ -> ()
-  in
-  imply ();
+  imply eng flags;
   if e == dummy then
     (* unrefinable unknown name (refinable ones are seeded entries) *)
     raise (Unknown_sym (upper_slice s npos nlen));
   let sym =
-    if e.e_attr <> "" && cap_found = 1 then begin
-      match find_val e s cap_vpos cap_vlen with
+    if String.length e.e_attr > 0 && eng.cap_found = 1 then begin
+      match find_val e s eng.cap_vpos eng.cap_vlen with
       | k when k >= 0 -> e.e_vsyms.(k)
-      | _ -> raise (Unknown_sym (refined_error e s cap_vpos cap_vlen))
+      | _ -> raise (Unknown_sym (refined_error e s eng.cap_vpos eng.cap_vlen))
     end
     else if e.e_open >= 0 then e.e_open
     else raise (Unknown_sym e.e_key)
@@ -472,8 +523,7 @@ let process_start eng s e npos nlen ~self_closing ~cap_found ~cap_vpos ~cap_vlen
       if e.e_close >= 0 then emit eng e.e_close
       else raise (Unknown_sym ("/" ^ e.e_key))
   end
-  else
-    eng.stack <- { f_ent = e; f_index = index; f_node = node; f_next = 0 } :: eng.stack;
+  else push eng e index node;
   if (not self_closing) && e.e_raw then begin
     eng.mode <- M_raw;
     eng.raw_close <- (if e.e_key = "SCRIPT" then "</script" else "</style");
@@ -482,24 +532,26 @@ let process_start eng s e npos nlen ~self_closing ~cap_found ~cap_vpos ~cap_vlen
     eng.raw_nonspace <- false
   end
 
+let rec open_below eng e d =
+  d >= 0 && (Array.unsafe_get eng.st_ent d == e || open_below eng e (d - 1))
+
+let rec close_through eng e =
+  if eng.depth > 0 then begin
+    let hit = Array.unsafe_get eng.st_ent (eng.depth - 1) == e in
+    close_top eng;
+    if not hit then close_through eng e
+  end
+
 (* end-tag resolution: void and unknown end tags are dropped; a match
    anywhere in the stack pops (emitting closes) down to it inclusive. *)
 let process_end_entry eng e =
   if e == dummy || e.e_void then ()
-  else if List.exists (fun fr -> fr.f_ent == e) eng.stack then begin
-    let rec close () =
-      match eng.stack with
-      | fr :: _ ->
-          let hit = fr.f_ent == e in
-          close_top eng;
-          if not hit then close ()
-      | [] -> ()
-    in
-    close ()
-  end
+  else if open_below eng e (eng.depth - 1) then close_through eng e
 
 let process_end_slice eng s pos len =
-  process_end_entry eng (lookup eng.tbl s pos len)
+  let e = lookup eng.tbl s pos len in
+  count_lookup eng e;
+  process_end_entry eng e
 
 let finish_rawend eng =
   let name = eng.raw_base ^ Buffer.contents eng.raw_name in
@@ -567,11 +619,39 @@ let entity_step eng s n eof amp =
   in
   scan (amp + 1)
 
+let skip_sp s n k =
+  let k = ref k in
+  while !k < n && is_space (String.unsafe_get s !k) do
+    incr k
+  done;
+  !k
+
+(* note the attribute at [apos, apos + alen) if it is the first one
+   named [target]; [vlen = -1] means it has no value.  [alen] >= 1, so
+   an unrefined entry's empty target never matches. *)
+let record_cap eng s target apos alen vpos vlen =
+  if eng.cap_found = 0 && String.length target = alen then begin
+    let ok = ref true in
+    for k = 0 to alen - 1 do
+      if Char.lowercase_ascii (String.unsafe_get s (apos + k))
+         <> String.unsafe_get target k
+      then ok := false
+    done;
+    if !ok then
+      if vlen < 0 then eng.cap_found <- 2
+      else begin
+        eng.cap_found <- 1;
+        eng.cap_vpos <- vpos;
+        eng.cap_vlen <- vlen
+      end
+  end
+
 (* full start-tag scan: name, then a faithful replica of the lexer's
    scan_attrs (quotes, junk skipping, '/' self-close lookahead), with
    the refining attribute captured as a slice on the fly.  Raises
-   Need_more before any state mutation, so a re-scan from the carried
-   '<' is safe. *)
+   Need_more before any state the re-scan depends on is mutated (the
+   cap_* scratch is reset on entry), so a re-scan from the carried '<'
+   is safe; the lookup is counted only once the tag is complete. *)
 let scan_start eng s n eof cstart =
   let npos = cstart + 1 in
   let j = ref npos in
@@ -581,39 +661,14 @@ let scan_start eng s n eof cstart =
   if !j = n && not eof then raise (Need_more cstart);
   let nlen = !j - npos in
   let e = lookup eng.tbl s npos nlen in
-  let target = if e == dummy then "" else e.e_attr in
-  let cap_found = ref 0 (* 0 none; 1 value captured; 2 valueless/plain *) in
-  let cap_vpos = ref 0 and cap_vlen = ref 0 in
-  let record_cap apos alen v =
-    if target <> "" && !cap_found = 0 && String.length target = alen then begin
-      let ok = ref true in
-      for k = 0 to alen - 1 do
-        if Char.lowercase_ascii (String.unsafe_get s (apos + k))
-           <> String.unsafe_get target k
-        then ok := false
-      done;
-      if !ok then
-        match v with
-        | Some (vp, vl) ->
-            cap_found := 1;
-            cap_vpos := vp;
-            cap_vlen := vl
-        | None -> cap_found := 2
-    end
-  in
+  let target = e.e_attr in
+  eng.cap_found <- 0;
   let self_closing = ref false in
   let fin = ref n in
-  let skip_sp k =
-    let k = ref k in
-    while !k < n && is_space (String.unsafe_get s !k) do
-      incr k
-    done;
-    !k
-  in
   let i = ref !j in
   let continue_ = ref true in
   while !continue_ do
-    let p = skip_sp !i in
+    let p = skip_sp s n !i in
     if p >= n then begin
       if not eof then raise (Need_more cstart);
       fin := n;
@@ -624,7 +679,7 @@ let scan_start eng s n eof cstart =
       continue_ := false
     end
     else if s.[p] = '/' then begin
-      let q = skip_sp (p + 1) in
+      let q = skip_sp s n (p + 1) in
       if q >= n && not eof then raise (Need_more cstart);
       if q < n && s.[q] = '>' then begin
         self_closing := true;
@@ -644,17 +699,17 @@ let scan_start eng s n eof cstart =
       let alen = !k - apos in
       if alen = 0 then i := p + 1
       else begin
-        let q = skip_sp !k in
+        let q = skip_sp s n !k in
         if q >= n then begin
           if not eof then raise (Need_more cstart);
-          record_cap apos alen None;
+          record_cap eng s target apos alen 0 (-1);
           i := q
         end
         else if s.[q] = '=' then begin
-          let v = skip_sp (q + 1) in
+          let v = skip_sp s n (q + 1) in
           if v >= n then begin
             if not eof then raise (Need_more cstart);
-            record_cap apos alen (Some (v, 0));
+            record_cap eng s target apos alen v 0;
             i := v
           end
           else if s.[v] = '"' || s.[v] = '\'' then begin
@@ -665,11 +720,11 @@ let scan_start eng s n eof cstart =
             done;
             if !m = n then begin
               if not eof then raise (Need_more cstart);
-              record_cap apos alen (Some (v + 1, n - v - 1));
+              record_cap eng s target apos alen (v + 1) (n - v - 1);
               i := n
             end
             else begin
-              record_cap apos alen (Some (v + 1, !m - v - 1));
+              record_cap eng s target apos alen (v + 1) (!m - v - 1);
               i := !m + 1
             end
           end
@@ -684,20 +739,20 @@ let scan_start eng s n eof cstart =
               incr m
             done;
             if !m = n && not eof then raise (Need_more cstart);
-            record_cap apos alen (Some (v, !m - v));
+            record_cap eng s target apos alen v (!m - v);
             i := !m
           end
         end
         else begin
-          record_cap apos alen None;
+          record_cap eng s target apos alen 0 (-1);
           i := q
         end
       end
     end
   done;
+  count_lookup eng e;
   flush_text eng;
-  process_start eng s e npos nlen ~self_closing:!self_closing
-    ~cap_found:!cap_found ~cap_vpos:!cap_vpos ~cap_vlen:!cap_vlen;
+  process_start eng s e npos nlen ~self_closing:!self_closing;
   !fin
 
 let scan_end eng s n eof cstart =
@@ -849,17 +904,25 @@ let finalize eng =
   | M_rawend -> finish_rawend eng
   | M_skipgt -> ());
   eng.mode <- M_text;
-  while eng.stack <> [] do
+  while eng.depth > 0 do
     close_top eng
   done
 
+(* the interner counts reach the global totals on every exit, the
+   Unknown_sym one included *)
 let feed eng chunk eof =
   let input = if eng.carry = "" then chunk else eng.carry ^ chunk in
   eng.carry <- "";
-  (try scan eng input eof
-   with Need_more r ->
-     eng.carry <- String.sub input r (String.length input - r));
-  if eof then finalize eng
+  match
+    (try scan eng input eof
+     with Need_more r ->
+       eng.carry <- String.sub input r (String.length input - r));
+    if eof then finalize eng
+  with
+  | () -> flush_counts eng
+  | exception e ->
+      flush_counts eng;
+      raise e
 
 (* --- one-shot drivers --- *)
 
@@ -1040,14 +1103,13 @@ type stats = {
 }
 
 let stats () =
-  let hits, misses = Obs.Counter2.read interner in
   {
     pages = Atomic.get pages_total;
     bytes = Atomic.get bytes_total;
     tables = Atomic.get tables_built;
     entries = Atomic.get entries_total;
-    interner_hits = hits;
-    interner_misses = misses;
+    interner_hits = Atomic.get interner_hits;
+    interner_misses = Atomic.get interner_misses;
     last_alpha = Atomic.get last_alpha;
     last_classes = Atomic.get last_classes;
   }
@@ -1067,14 +1129,18 @@ let pp_stats ppf s =
 let () =
   Obs.register_provider "front" (fun () ->
       let open Obs.Json in
-      let hits, misses = Obs.Counter2.read interner in
       Obj
         [
           ("pages", Int (Atomic.get pages_total));
           ("bytes", Int (Atomic.get bytes_total));
           ("tables", Int (Atomic.get tables_built));
           ("entries", Int (Atomic.get entries_total));
-          ("interner", Obj [ ("hits", Int hits); ("misses", Int misses) ]);
+          ( "interner",
+            Obj
+              [
+                ("hits", Int (Atomic.get interner_hits));
+                ("misses", Int (Atomic.get interner_misses));
+              ] );
           ("alpha", Int (Atomic.get last_alpha));
           ("classes", Int (Atomic.get last_classes));
         ])

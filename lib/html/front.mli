@@ -97,7 +97,11 @@ val stream_finish : stream -> emit:(int -> unit) -> (unit, string) result
     most recent matcher's symbol-alphabet vs class-table sizes),
     exported as the ["front"] {!Obs.metrics_json} provider and
     printable for [--stats] reports.  Unconditional, like the pool's —
-    the fused path's vitals must not depend on [--trace]. *)
+    the fused path's vitals must not depend on [--trace].  Interner
+    traffic is counted per engine and added to the totals once per
+    feed (once per page in a batch), on the unknown-symbol exit too, so
+    concurrent domains share no counter word per tag; a tag is counted
+    once however the chunks cut it. *)
 
 type stats = {
   pages : int;

@@ -56,6 +56,10 @@ let stream_word tbl chunks =
   in
   go chunks
 
+let with_faults site ~at f =
+  Guard_faults.arm site ~at;
+  Fun.protect ~finally:Guard_faults.disarm f
+
 let tests ~count =
   [
     QCheck.Test.make ~count
@@ -82,6 +86,32 @@ let tests ~count =
         List.for_all
           (fun jobs -> Wrapper.extract_raw_batch ~jobs w htmls = tree)
           [ 1; 2; 4 ]);
+    QCheck.Test.make ~count:(max 1 (count / 5))
+      ~name:"front: budgeted raw batch ≡ tree batch under faults"
+      QCheck.(triple arb_seed (int_range 1 4096) (int_range 0 2))
+      (fun (seed, fuel, retries) ->
+        let w, _ = Lazy.force the_wrapper in
+        let htmls =
+          List.init 6 (fun i ->
+              let h = Html_tree.to_string (page_of_seed ((seed * 11) + i)) in
+              (* one page dies on an unknown tag *)
+              if i = seed mod 6 then "<blink>" ^ h else h)
+        in
+        let docs = List.map Html_tree.parse htmls in
+        let faulted =
+          List.filter (fun i -> (seed lsr i) land 1 = 1) [ 0; 1; 2; 3; 4; 5 ]
+        in
+        let deadline_ms = 60_000 in
+        with_faults Guard_faults.Batch_item ~at:faulted (fun () ->
+            let tree =
+              Wrapper.extract_batch ~jobs:1 ~fuel ~deadline_ms ~retries w docs
+            in
+            List.for_all
+              (fun jobs ->
+                Wrapper.extract_raw_batch ~jobs ~fuel ~deadline_ms ~retries w
+                  htmls
+                = tree)
+              [ 1; 2; 4 ]));
     QCheck.Test.make ~count
       ~name:"front: fused ≡ tree on perturbed pages (chunked too)"
       (QCheck.pair arb_seed (QCheck.int_range 1 3))

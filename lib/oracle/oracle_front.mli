@@ -4,7 +4,8 @@
     the materializing pipeline it replaces — lex → tree → tag sequence
     → matcher — on every input string: same symbol sequence, same
     extracted node path, same first unknown symbol, wherever the chunk
-    boundaries fall and at every job count of the raw batch API.  The
+    boundaries fall and at every job count of the raw batch API, with
+    and without per-item budgets and injected batch-item faults.  The
     alphabet class compression it matches through is checked sound:
     replacing symbols by same-class representatives never changes a
     split, the mark's class stays singleton, and class-space runs

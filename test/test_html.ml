@@ -358,13 +358,20 @@ let test_front_figure1 () =
 
 let test_front_chunking_every_cut () =
   let s =
-    "<div><p>a &amp; b<script>\"</div>\"</script><table><tr><td>x<td>y</table></div>"
+    "<div><p>a &amp; b<script>\"</div>\"</script><table><tr><td class=\"c\">x<td>y</table></div>"
   in
   let abs = Abstraction.Tags in
   let alpha = Tag_seq.alphabet_of_docs ~abs [ Html_tree.parse s ] in
   let tbl = Front.build ~abs alpha in
+  let lookups () =
+    let st = Front.stats () in
+    st.Front.interner_hits + st.Front.interner_misses
+  in
+  let l0 = lookups () in
   let oneshot = Array.to_list (Front.word tbl s) in
+  let per_page = lookups () - l0 in
   for cut = 0 to String.length s do
+    let l0 = lookups () in
     let acc = ref [] in
     let emit a = acc := a :: !acc in
     let st = Front.stream_make tbl in
@@ -381,7 +388,12 @@ let test_front_chunking_every_cut () =
     | Error t -> Alcotest.failf "finish at %d: unknown %s" cut t);
     Alcotest.(check (list int))
       (Printf.sprintf "cut at %d" cut)
-      oneshot (List.rev !acc)
+      oneshot (List.rev !acc);
+    (* a tag re-scanned after a carry is still counted once *)
+    Alcotest.(check int)
+      (Printf.sprintf "lookups at cut %d" cut)
+      per_page
+      (lookups () - l0)
   done
 
 let test_front_unknown_symbol () =
@@ -397,6 +409,45 @@ let test_front_unknown_symbol () =
     "tree agrees"
     (tree_word ~abs alpha s)
     (front_word ~abs alpha s)
+
+(* Allocation pin: the streaming scan's per-tag path (start-tag scan,
+   attribute capture, open-element stack, interner lookup) allocates
+   nothing, so what remains is per-feed and per-page.  The bound sits
+   at half the cost the closure-based scan had, so a closure or option
+   creeping back into the hot loop fails here. *)
+let test_front_stream_allocation () =
+  let rng = Random.State.make [| 0xa110c |] in
+  let profile =
+    { (Pagegen.random_profile rng) with Pagegen.product_rows = 120 }
+  in
+  let page = Html_tree.to_string (Pagegen.generate rng profile) in
+  let abs = Abstraction.Tags in
+  let tbl = Front.build ~abs (Wrapper.alphabet_for ~abs []) in
+  let chunk = 4096 in
+  let len = String.length page in
+  let chunks =
+    List.init
+      ((len + chunk - 1) / chunk)
+      (fun i -> String.sub page (i * chunk) (min chunk (len - (i * chunk))))
+  in
+  let n = ref 0 in
+  let emit _ = incr n in
+  let run () =
+    let st = Front.stream_make tbl in
+    List.iter (fun c -> ignore (Front.stream_feed st c ~emit)) chunks;
+    ignore (Front.stream_finish st ~emit)
+  in
+  run ();
+  Alcotest.(check bool) "page emits symbols" true (!n > 0);
+  let reps = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    run ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let per_kb = words /. float_of_int reps /. (float_of_int len /. 1024.) in
+  if per_kb > 1500. then
+    Alcotest.failf "stream allocates %.0f minor words/KB (pin: 1500)" per_kb
 
 let () =
   Alcotest.run "html"
@@ -445,5 +496,7 @@ let () =
             test_front_chunking_every_cut;
           Alcotest.test_case "unknown-symbol identity" `Quick
             test_front_unknown_symbol;
+          Alcotest.test_case "stream allocation pin" `Quick
+            test_front_stream_allocation;
         ] );
     ]

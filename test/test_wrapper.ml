@@ -288,6 +288,46 @@ let test_extract_errors () =
   | Error (Wrapper.Unknown_tag _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "unknown tag must be reported"
 
+(* Front's interner totals are counted per engine and flushed once per
+   page, on the unknown-tag exit too: N copies of a page pair add
+   exactly N times one pair's lookups, whatever the job count. *)
+let test_raw_batch_interner_totals () =
+  let w, _, _, _, _ = learn_figure1 () in
+  let c = Wrapper.compile w in
+  let good = Html_tree.to_string (Pagegen.figure1_top ()) in
+  let bad = "<form><input><blink><input></form>" in
+  let traffic f =
+    let s0 = Front.stats () in
+    f ();
+    let s1 = Front.stats () in
+    ( s1.Front.interner_hits - s0.Front.interner_hits,
+      s1.Front.interner_misses - s0.Front.interner_misses )
+  in
+  let hits, misses =
+    traffic (fun () ->
+        List.iter (fun p -> ignore (Wrapper.extract_raw c p)) [ good; bad ])
+  in
+  check_bool "pair has hits" true (hits > 0);
+  check_int "the unknown tag is the one miss" 1 misses;
+  let n = 25 in
+  let pages = List.concat (List.init n (fun _ -> [ good; bad ])) in
+  List.iter
+    (fun jobs ->
+      let got =
+        traffic (fun () ->
+            let results = Wrapper.extract_raw_batch ~jobs w pages in
+            let unknown = function
+              | Error (Wrapper.Unknown_tag _) -> true
+              | _ -> false
+            in
+            check_int "every bad page fails" n
+              (List.length (List.filter unknown results)))
+      in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "totals at jobs %d" jobs)
+        (n * hits, n * misses) got)
+    [ 1; 2; 4 ]
+
 (* --- abstraction-refined wrappers --- *)
 
 let test_refined_wrapper_pipeline () =
@@ -486,6 +526,8 @@ let () =
           Alcotest.test_case "maximized beats raw" `Quick
             test_unmaximized_is_brittle;
           Alcotest.test_case "error reporting" `Quick test_extract_errors;
+          Alcotest.test_case "raw batch interner totals" `Quick
+            test_raw_batch_interner_totals;
           Alcotest.test_case "paper's §7 final expression" `Quick
             test_paper_final_expression;
         ] );
