@@ -1164,6 +1164,36 @@ let e17 () =
       (function Frame.Err_budget { id; _ } -> id = starved | _ -> false)
       out
   in
+  (* Allocation, not time: minor words per token of one Session page
+     run over the generated catalog page of test_serve's pin, fed in
+     4 KiB chunks.  A count, so CI can gate it exactly. *)
+  let session_words_per_token =
+    let rng = Random.State.make [| 0xa110c |] in
+    let profile =
+      { (Pagegen.random_profile rng) with Pagegen.product_rows = 120 }
+    in
+    let page = Html_tree.to_string (Pagegen.generate rng profile) in
+    let abs = Abstraction.Tags in
+    let alpha = Wrapper.alphabet_for ~abs [] in
+    let front = Front.build ~abs alpha in
+    let m = Extraction.compile (Extraction.parse alpha "([^TD])* <TD> .*") in
+    let len = String.length page in
+    let chunks =
+      List.init
+        ((len + 4095) / 4096)
+        (fun i -> String.sub page (i * 4096) (min 4096 (len - (i * 4096))))
+    in
+    let run () =
+      let s = Session.create ~matcher:m ~alpha ~id:0 ~ordinal:0 ~front () in
+      List.iter (fun c -> ignore (Session.feed_page s c)) chunks;
+      ignore (Session.finish s);
+      s
+    in
+    ignore (run ());
+    let w0 = Gc.minor_words () in
+    let s = run () in
+    (Gc.minor_words () -. w0) /. float_of_int (Session.tokens_fed s)
+  in
   Printf.printf "| sessions | frames | batch ms | frames/s | p99 us |\n";
   Printf.printf "|---|---|---|---|---|\n";
   Printf.printf "| %8d | %6d | %8.3f | %8.0f | %6d |\n" n_sessions n_lines ms
@@ -1173,6 +1203,9 @@ let e17 () =
      budget_surfaced=%b — supervision must be observation-free for\n\
      the survivors and structured for the casualties.\n"
     !clean_exact fault_surfaced budget_surfaced;
+  Printf.printf
+    "session page run: %.3f minor words/token (CI gate: <= 1.0)\n"
+    session_words_per_token;
   let path =
     Option.value (Sys.getenv_opt "BENCH_SERVE_JSON") ~default:"BENCH_serve.json"
   in
@@ -1188,10 +1221,11 @@ let e17 () =
     \  \"clean_sessions_exact\": %b,\n\
     \  \"fault_surfaced\": %b,\n\
     \  \"budget_surfaced\": %b,\n\
+    \  \"session_minor_words_per_token\": %.4f,\n\
     \  \"survived\": true\n\
      }\n"
     n_sessions n_lines ms frames_per_s p99_us !clean_exact fault_surfaced
-    budget_surfaced;
+    budget_surfaced session_words_per_token;
   close_out oc;
   Printf.printf "wrote %s\n" path
 

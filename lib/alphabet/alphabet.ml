@@ -23,9 +23,9 @@ let name a i =
 let find a n = Hashtbl.find_opt a.index n
 
 let find_exn a n =
-  match find a n with
-  | Some i -> i
-  | None -> invalid_arg ("Alphabet.find_exn: unknown symbol " ^ n)
+  match Hashtbl.find a.index n with
+  | i -> i
+  | exception Not_found -> invalid_arg ("Alphabet.find_exn: unknown symbol " ^ n)
 
 let mem_name a n = Hashtbl.mem a.index n
 let symbols a = List.init (size a) Fun.id

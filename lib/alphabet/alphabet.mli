@@ -22,6 +22,9 @@ val name : t -> int -> string
 
 val find : t -> string -> int option
 val find_exn : t -> string -> int
+(** Allocation-free on a hit, unlike {!find}.
+    @raise Invalid_argument on a name outside the alphabet. *)
+
 val mem_name : t -> string -> bool
 val symbols : t -> int list
 val names : t -> string list

@@ -149,7 +149,13 @@ type matcher = {
      right-to-left decides suffix ∈ L(E2). *)
   right_rev_dfa : Dfa.t;
   comp : compressed;
+  online : bool; (* right side is Σ*: decided once, here *)
 }
+
+let assemble expr ~left_dfa ~right_rev_dfa =
+  let comp = compress expr ~left_dfa ~right_rev_dfa in
+  let online = Dfa_ops.is_universal right_rev_dfa in
+  { expr; left_dfa; right_rev_dfa; comp; online }
 
 let compile expr =
   let left_dfa = Lang.dfa (left_lang expr) in
@@ -161,7 +167,7 @@ let compile expr =
      the hot path below. *)
   Dfa.validate left_dfa;
   Dfa.validate right_rev_dfa;
-  { expr; left_dfa; right_rev_dfa; comp = compress expr ~left_dfa ~right_rev_dfa }
+  assemble expr ~left_dfa ~right_rev_dfa
 
 (* Checksum-licensed constructor: the .rxc artifact loader decodes its
    DFAs under the same structural checks Dfa.validate performs (delta
@@ -176,7 +182,7 @@ let matcher_of_validated expr ~left_dfa ~right_rev_dfa =
     left_dfa.Dfa.alpha_size <> expect_alpha
     || right_rev_dfa.Dfa.alpha_size <> expect_alpha
   then invalid_arg "Extraction.matcher_of_validated: alphabet size mismatch";
-  { expr; left_dfa; right_rev_dfa; comp = compress expr ~left_dfa ~right_rev_dfa }
+  assemble expr ~left_dfa ~right_rev_dfa
 
 let matcher_expr m = m.expr
 let matcher_compressed m = m.comp
@@ -208,62 +214,35 @@ let bit_write b i v =
 let bit_read b i =
   (Char.code (Bytes.unsafe_get b (i lsr 3)) lsr (i land 7)) land 1 <> 0
 
-(* The zero-allocation fast path.  Symbols are bound-checked in the
-   backward pass (the only unvalidated input); given that and the
-   compile-time Dfa.validate, every unsafe array access below is in
-   range — see Dfa.unsafe_step. *)
+(* The zero-allocation fast path, run in class space: each symbol is
+   mapped through comp.class_of and stepped on the shrunken tables.
+   Soundness: symbols of one class have identical columns in both DFAs,
+   so the state trajectories — and hence the split set — equal the
+   symbol-space run's (the front oracle layer checks this against
+   matcher_splits_fresh).  Symbols are bound-checked in the backward
+   pass (the only unvalidated input); class ids are then in range by
+   construction, so every unsafe access below is licensed — see
+   Dfa.unsafe_step. *)
 let matcher_splits m w =
   let n = Array.length w in
-  let mark = m.expr.mark in
-  let rd = m.right_rev_dfa and ld = m.left_dfa in
-  let alpha = rd.Dfa.alpha_size in
+  let c = m.comp in
+  let cls = c.class_of and mark = c.c_mark in
+  let rd = c.c_right_rev and ld = c.c_left in
   (* suffix_ok bit i ⇔ w[i..n) ∈ L(E2); computed right-to-left. *)
   let suffix_ok = get_scratch (n + 1) in
   let state = ref rd.Dfa.start in
   bit_write suffix_ok n (Array.unsafe_get rd.Dfa.finals !state);
   for i = n - 1 downto 0 do
     let a = Array.unsafe_get w i in
-    if a < 0 || a >= alpha then
+    if a < 0 || a >= Array.length cls then
       invalid_arg "Extraction.matcher_splits: symbol out of range";
-    state := Dfa.unsafe_step rd !state a;
+    state := Dfa.unsafe_step rd !state (Array.unsafe_get cls a);
     bit_write suffix_ok i (Array.unsafe_get rd.Dfa.finals !state)
   done;
   let acc = ref [] in
   let lstate = ref ld.Dfa.start in
   for i = 0 to n - 1 do
-    let a = Array.unsafe_get w i in
-    if a = mark && Array.unsafe_get ld.Dfa.finals !lstate
-       && bit_read suffix_ok (i + 1)
-    then acc := i :: !acc;
-    lstate := Dfa.unsafe_step ld !lstate a
-  done;
-  List.rev !acc
-
-(* Same two sweeps in class space: the word is a sequence of class ids
-   (from comp.class_of), stepped on the shrunken tables.  Soundness:
-   symbols of one class have identical columns in both DFAs, so the
-   state trajectories — and hence the split set — equal the symbol-space
-   run's (the front oracle layer checks this per symbol and per word). *)
-let matcher_splits_classes m cw =
-  let n = Array.length cw in
-  let c = m.comp in
-  let mark = c.c_mark in
-  let rd = c.c_right_rev and ld = c.c_left in
-  let alpha = rd.Dfa.alpha_size in
-  let suffix_ok = get_scratch (n + 1) in
-  let state = ref rd.Dfa.start in
-  bit_write suffix_ok n (Array.unsafe_get rd.Dfa.finals !state);
-  for i = n - 1 downto 0 do
-    let a = Array.unsafe_get cw i in
-    if a < 0 || a >= alpha then
-      invalid_arg "Extraction.matcher_splits_classes: class out of range";
-    state := Dfa.unsafe_step rd !state a;
-    bit_write suffix_ok i (Array.unsafe_get rd.Dfa.finals !state)
-  done;
-  let acc = ref [] in
-  let lstate = ref ld.Dfa.start in
-  for i = 0 to n - 1 do
-    let a = Array.unsafe_get cw i in
+    let a = Array.unsafe_get cls (Array.unsafe_get w i) in
     if a = mark && Array.unsafe_get ld.Dfa.finals !lstate
        && bit_read suffix_ok (i + 1)
     then acc := i :: !acc;
@@ -301,7 +280,7 @@ let classify = function
 
 let matcher_extract m w = classify (matcher_splits m w)
 
-let matcher_online m = Dfa_ops.is_universal m.right_rev_dfa
+let matcher_online m = m.online
 
 exception Not_online of { expr : string }
 
@@ -315,25 +294,42 @@ let () =
              expr)
     | _ -> None)
 
+(* --- online stepping: a Σ* right side accepts every suffix, so only
+   the left DFA runs.  The symbol check licenses the class lookup and
+   unsafe_step (class ids are in range by construction). *)
+
+type stepper = { s_comp : compressed; mutable s_q : int; mutable s_pos : int }
+
+let stepper m =
+  if not m.online then raise (Not_online { expr = to_string m.expr });
+  { s_comp = m.comp; s_q = m.comp.c_left.Dfa.start; s_pos = 0 }
+
+let stepper_pos s = s.s_pos
+
+let step s a =
+  let c = s.s_comp in
+  if a < 0 || a >= Array.length c.class_of then
+    invalid_arg "Extraction.step: symbol out of range";
+  let k = Array.unsafe_get c.class_of a and q = s.s_q in
+  s.s_q <- Dfa.unsafe_step c.c_left q k;
+  s.s_pos <- s.s_pos + 1;
+  k = c.c_mark && Array.unsafe_get c.c_left.Dfa.finals q
+
+(* Each node re-seats the stepper at its own (state, position) before
+   stepping, so forcing a node twice answers the same: the sequence is
+   as persistent as [syms]. *)
 let matcher_stream_splits m syms =
-  if not (matcher_online m) then
-    raise (Not_online { expr = to_string m.expr });
-  let mark = m.expr.mark in
-  let dfa = m.left_dfa in
-  let alpha = dfa.Dfa.alpha_size in
-  (* unfold over (remaining stream, left-DFA state, position); the
-     symbol check licenses unsafe_step as in matcher_splits *)
-  let rec next (syms, state, i) () =
+  let s = stepper m in
+  let rec next syms q pos () =
     match syms () with
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (a, rest) ->
-        if a < 0 || a >= alpha then
-          invalid_arg "Extraction.matcher_stream_splits: symbol out of range";
-        let hit = a = mark && Array.unsafe_get dfa.Dfa.finals state in
-        let st' = (rest, Dfa.unsafe_step dfa state a, i + 1) in
-        if hit then Seq.Cons (i, next st') else next st' ()
+        s.s_q <- q;
+        s.s_pos <- pos;
+        if step s a then Seq.Cons (pos, next rest s.s_q (pos + 1))
+        else next rest s.s_q (pos + 1) ()
   in
-  next (syms, dfa.Dfa.start, 0)
+  next syms s.s_q 0
 
 let splits t w =
   let l = left_lang t and r = right_lang t in

@@ -111,14 +111,9 @@ val matcher_compressed : matcher -> compressed
     are copied from validated tables), so {!Dfa.unsafe_step} over
     bound-checked class ids remains sound. *)
 
-val matcher_splits_classes : matcher -> int array -> int list
-(** {!matcher_splits} in class space: the input word holds {e class}
-    ids (images under [class_of]), stepped on the compressed tables.
-    Same split positions as the symbol-space run.
-    @raise Invalid_argument on a class id out of range. *)
-
 val matcher_splits : matcher -> Word.t -> int list
-(** All split positions, ascending.  Hot path: the suffix bitset lives
+(** All split positions, ascending, computed in class space on the
+    {!matcher_compressed} tables.  Hot path: the suffix bitset lives
     in per-domain scratch reused across calls (grown geometrically), so
     no per-word heap allocation happens beyond the result list.
     @raise Invalid_argument on a symbol outside the alphabet. *)
@@ -134,7 +129,8 @@ val matcher_extract :
 
 val matcher_online : matcher -> bool
 (** Whether the right side is Σ*, making one-pass streaming extraction
-    possible (no suffix check needed). *)
+    possible (no suffix check needed).  Decided once when the matcher
+    is built. *)
 
 exception Not_online of { expr : string }
 (** Streaming was requested on a matcher whose right side is not Σ*.
@@ -143,11 +139,38 @@ exception Not_online of { expr : string }
     [check]'s generic error path — can report [err=not_online] and
     exit 2 instead of dumping a backtrace. *)
 
+(** {2 Online stepping}
+
+    With a Σ* right side, a mark is a split exactly when the left DFA
+    accepts the prefix before it (Lemma 5.2's one pass), so the whole
+    matcher state is one left-DFA state and a position.  A {!stepper}
+    holds that state and is pushed one symbol at a time on the
+    class-compressed left table; it allocates nothing per symbol.  The
+    serve sessions, {!matcher_stream_splits} and the fused front-end's
+    online path all step through it. *)
+
+type stepper
+(** Mutable: one per stream.  Not shared across domains. *)
+
+val stepper : matcher -> stepper
+(** A stepper at the start of a stream (position 0).
+    @raise Not_online if [not (matcher_online m)]. *)
+
+val step : stepper -> int -> bool
+(** Consume one symbol; [true] iff it is a split, at position
+    [stepper_pos s - 1].
+    @raise Invalid_argument on a symbol outside the alphabet (the
+    stepper is then unchanged). *)
+
+val stepper_pos : stepper -> int
+(** Symbols consumed so far. *)
+
 val matcher_stream_splits : matcher -> int Seq.t -> int Seq.t
 (** Lazily yield split positions while consuming a token stream — each
     position is emitted as soon as its prefix has been read, without
-    buffering the page.  Only defined for Σ*-right expressions, which is
-    what maximization produces for the §7 pipeline.
+    buffering the page.  A [Seq] view of {!step}: each element is
+    pulled once per forcing.  Only defined for Σ*-right expressions,
+    which is what maximization produces for the §7 pipeline.
     @raise Not_online if [not (matcher_online m)].
     @raise Invalid_argument (lazily, at the offending element) on a
     symbol outside the alphabet. *)

@@ -283,7 +283,6 @@ type engine = {
   raw_name : Buffer.t;  (* M_rawend: end-tag name extension *)
   mutable cur_index : int;  (* valid during on_sym *)
   mutable cur_node : int;  (* valid during on_sym (arena) *)
-  mutable n_emitted : int;
   mutable nd_parent : int array;
   mutable nd_index : int array;
   mutable nd_len : int;
@@ -323,7 +322,6 @@ let make_engine tbl ~arena =
     raw_name = Buffer.create 8;
     cur_index = -1;
     cur_node = -1;
-    n_emitted = 0;
     nd_parent = (if arena then Array.make 64 0 else [||]);
     nd_index = (if arena then Array.make 64 0 else [||]);
     nd_len = 0;
@@ -416,10 +414,6 @@ let node_path eng nd =
   in
   up [] nd
 
-let emit eng sym =
-  eng.n_emitted <- eng.n_emitted + 1;
-  eng.on_sym sym
-
 let close_top eng =
   if eng.depth > 0 then begin
     let d = eng.depth - 1 in
@@ -427,7 +421,7 @@ let close_top eng =
     eng.cur_index <- Array.unsafe_get eng.st_index d;
     eng.cur_node <- Array.unsafe_get eng.st_node d;
     let e = Array.unsafe_get eng.st_ent d in
-    if e.e_close >= 0 then emit eng e.e_close
+    if e.e_close >= 0 then eng.on_sym e.e_close
     else raise (Unknown_sym ("/" ^ e.e_key))
   end
 
@@ -516,11 +510,11 @@ let process_start eng s e npos nlen ~self_closing =
   let node = alloc_node eng (parent_node eng) index in
   eng.cur_index <- index;
   eng.cur_node <- node;
-  emit eng sym;
+  eng.on_sym sym;
   if self_closing || e.e_void then begin
     (* leaf; a self-closing non-void element still emits its close *)
     if not e.e_void then
-      if e.e_close >= 0 then emit eng e.e_close
+      if e.e_close >= 0 then eng.on_sym e.e_close
       else raise (Unknown_sym ("/" ^ e.e_key))
   end
   else push eng e index node;
@@ -959,39 +953,33 @@ type error =
   | Ambiguous of int list
   | Unknown_symbol of string
 
-let record_geometry (comp : Extraction.compressed) =
+let record_geometry m =
+  let comp = Extraction.matcher_compressed m in
   Atomic.set last_alpha (Array.length comp.Extraction.class_of);
   Atomic.set last_classes comp.Extraction.n_classes
 
-(* online: step the compressed left DFA as ids arrive; a hit is a mark
-   whose prefix state is final (the suffix is Σ*, always accepted).
-   The first hit's path is captured from the live stack. *)
-let run_online tbl (comp : Extraction.compressed) html ~want_path =
-  let d = comp.Extraction.c_left in
-  let cls = comp.Extraction.class_of in
-  let c_mark = comp.Extraction.c_mark in
-  let finals = d.Dfa.finals in
+(* online: push each id through the matcher's stepper as it arrives
+   (the suffix is Σ*, always accepted).  The first hit's path is
+   captured from the live stack. *)
+let run_online tbl m html ~want_path =
+  let st = Extraction.stepper m in
   let eng = make_engine tbl ~arena:false in
-  let q = ref d.Dfa.start in
   let hits = ref [] and nhits = ref 0 in
   let path = ref [] in
   eng.on_sym <-
     (fun sym ->
-      let c = Array.unsafe_get cls sym in
-      if c = c_mark && Array.unsafe_get finals !q then begin
+      if Extraction.step st sym then begin
         if want_path && !nhits = 0 then path := cur_path eng;
-        hits := eng.n_emitted - 1 :: !hits;
+        hits := Extraction.stepper_pos st - 1 :: !hits;
         incr nhits
-      end;
-      q := Dfa.unsafe_step d !q c);
+      end);
   feed eng html true;
   account_page (String.length html);
   (List.rev !hits, !path)
 
-(* offline: buffer class ids plus the emitting node's arena id, run the
-   two-pass class-space matcher, then climb parent pointers. *)
-let run_offline tbl m (comp : Extraction.compressed) html =
-  let cls = comp.Extraction.class_of in
+(* offline: buffer symbol ids plus the emitting node's arena id, run the
+   two-pass (class-space) matcher, then climb parent pointers. *)
+let run_offline tbl m html =
   let eng = make_engine tbl ~arena:true in
   let buf = ref (Array.make 64 0) and posn = ref (Array.make 64 0) in
   let len = ref 0 in
@@ -1001,28 +989,27 @@ let run_offline tbl m (comp : Extraction.compressed) html =
         buf := grow !buf !len;
         posn := grow !posn !len
       end;
-      !buf.(!len) <- Array.unsafe_get cls sym;
+      !buf.(!len) <- sym;
       !posn.(!len) <- eng.cur_node;
       incr len);
   feed eng html true;
   account_page (String.length html);
   let w = Array.sub !buf 0 !len in
-  (Extraction.matcher_splits_classes m w, eng, !posn)
+  (Extraction.matcher_splits m w, eng, !posn)
 
 let extract tbl m html =
   let sp = Obs.Span.enter Obs.Span.Front in
   match
-    let comp = Extraction.matcher_compressed m in
-    record_geometry comp;
+    record_geometry m;
     if Extraction.matcher_online m then begin
-      let hits, path = run_online tbl comp html ~want_path:true in
+      let hits, path = run_online tbl m html ~want_path:true in
       match hits with
       | [] -> Error No_match
       | [ _ ] -> Ok path
       | l -> Error (Ambiguous l)
     end
     else begin
-      let splits, eng, posn = run_offline tbl m comp html in
+      let splits, eng, posn = run_offline tbl m html in
       match splits with
       | [] -> Error No_match
       | [ i ] -> Ok (node_path eng posn.(i))
@@ -1042,12 +1029,11 @@ let extract tbl m html =
 let splits tbl m html =
   let sp = Obs.Span.enter Obs.Span.Front in
   match
-    let comp = Extraction.matcher_compressed m in
-    record_geometry comp;
+    record_geometry m;
     if Extraction.matcher_online m then
-      fst (run_online tbl comp html ~want_path:false)
+      fst (run_online tbl m html ~want_path:false)
     else begin
-      let splits, _, _ = run_offline tbl m comp html in
+      let splits, _, _ = run_offline tbl m html in
       splits
     end
   with

@@ -57,9 +57,9 @@ val extract : table -> Extraction.matcher -> string -> (Html_tree.path, error) r
     compiled over [alphabet table].  Online (Σ*-right) matchers run
     truly streaming: no document, no word, no origin array — only the
     open-tag stack, from which the first hit's path is captured.
-    Offline matchers buffer class ids in an int arena plus a
+    Offline matchers buffer symbol ids in an int arena plus a
     parent-pointer node arena (still no strings, no tree) and run the
-    two-pass {!Extraction.matcher_splits_classes}. *)
+    two-pass {!Extraction.matcher_splits}. *)
 
 val splits : table -> Extraction.matcher -> string -> (int list, string) result
 (** All split positions (ascending) over the page's symbol sequence;
@@ -68,11 +68,11 @@ val splits : table -> Extraction.matcher -> string -> (int list, string) result
 (** {1 Incremental streaming}
 
     The same engine, fed chunk by chunk — the [serve] daemon's [page]
-    frames push raw HTML fragments through one of these inside the
-    session fiber.  A construct split across a chunk boundary is
-    carried and re-scanned when more bytes arrive, so chunk boundaries
-    never change the emitted sequence (the fuzz suite checks every
-    split point). *)
+    frames push raw HTML fragments through one of these per session,
+    and each emitted id steps the session's matcher.  A construct
+    split across a chunk boundary is carried and re-scanned when more
+    bytes arrive, so chunk boundaries never change the emitted
+    sequence (the fuzz suite checks every split point). *)
 
 type stream
 

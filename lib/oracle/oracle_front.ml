@@ -155,12 +155,11 @@ let tests ~count =
              (Array.init n (fun a ->
                   (comp.Extraction.class_of.(a) = comp.Extraction.c_mark)
                   = (a = mark)))
-        (* class-space run answers the symbol-space positions *)
-        && Extraction.matcher_splits_classes m
-             (Array.map (fun a -> comp.Extraction.class_of.(a)) w)
-           = Extraction.matcher_splits m w
+        (* the class-space run answers the symbol-space positions *)
+        && Extraction.matcher_splits m w = Extraction.matcher_splits_fresh m w
         (* behavioral soundness: swapping each symbol for a random
-           same-class representative never changes a split *)
+           same-class representative never changes a symbol-space
+           split *)
         &&
         let rng = Random.State.make [| 0xc1a5; seed |] in
         let reps = Array.init comp.Extraction.n_classes (fun _ -> []) in
@@ -171,8 +170,8 @@ let tests ~count =
           let peers = reps.(comp.Extraction.class_of.(a)) in
           List.nth peers (Random.State.int rng (List.length peers))
         in
-        Extraction.matcher_splits m (Array.map swap w)
-        = Extraction.matcher_splits m w);
+        Extraction.matcher_splits_fresh m (Array.map swap w)
+        = Extraction.matcher_splits_fresh m w);
     QCheck.Test.make ~count
       ~name:"front: unknown-symbol errors are identical" arb_seed
       (fun seed ->

@@ -102,6 +102,76 @@ let bytes_for id frames =
   |> List.filter (fun f -> frame_id f = Some id)
   |> List.map Frame.encode
 
+let page_line id html =
+  let open Obs.Json in
+  line [ ("op", Str "page"); ("id", Int id); ("html", Str html) ]
+
+(* Budget exhaustion at token k: session 1 runs with fuel k next to
+   an unbudgeted bystander fed the same frames ([feed], each a line for
+   a given id, so the budget spans several calls).  Session 1's frames
+   must be its opening, the offline splits below k, and one
+   err=budget (stage "stream", spent k+1, limit k) — the only one in
+   the output; the bystander's bytes equal a solo run's. *)
+let budget_cut_holds m ~word ~k ~feed =
+  let run ids opens =
+    Supervisor.handle_batch
+      (sup m (Extraction.matcher_expr m).Extraction.alpha)
+      (opens
+      @ List.concat_map (fun l -> List.map l ids) feed
+      @ List.map close_line ids)
+  in
+  let pair = run [ 1; 2 ] [ open_line ~fuel:k 1; open_line 2 ] in
+  let pinned =
+    List.filter (fun pos -> pos < k) (Extraction.matcher_splits m word)
+  in
+  List.filter
+    (function
+      | Frame.Opened { id = 1 } | Frame.Split { id = 1; _ } | Frame.Err_budget _
+        ->
+          true
+      | _ -> false)
+    pair
+  = (Frame.Opened { id = 1 }
+    :: List.map (fun pos -> Frame.Split { id = 1; pos }) pinned)
+    @ [ Frame.Err_budget { id = 1; stage = "stream"; spent = k + 1; limit = k } ]
+  && bytes_for 2 pair = bytes_for 2 (run [ 2 ] [ open_line 2 ])
+
+(* A stream of length [len] cut at 0–3 random offsets: a chunk may be
+   empty, and a page chunk may split a tag anywhere. *)
+let random_chunks rng len sub =
+  let cuts =
+    List.sort compare
+      (List.init (Random.State.int rng 4) (fun _ ->
+           Random.State.int rng (len + 1)))
+  in
+  let rec go lo = function
+    | [] -> [ sub lo (len - lo) ]
+    | c :: rest -> sub lo (c - lo) :: go c rest
+  in
+  go 0 cuts
+
+(* Page sessions need an alphabet of HTML tags; the expression's left
+   side is random over it and its right side Σ*. *)
+let html_alpha = Alphabet.make [ "DIV"; "/DIV"; "P"; "/P"; "INPUT" ]
+
+let arb_page_case =
+  let open QCheck.Gen in
+  let gen =
+    let* left = Oracle_gen.gen_plain_regex html_alpha in
+    let* mark = int_bound (Alphabet.size html_alpha - 1) in
+    let* parts =
+      list_size (int_range 1 24)
+        (oneofl [ "<div>"; "</div>"; "<p>"; "</p>"; "<input>"; "x"; " " ])
+    in
+    let* seed = int_bound 1_000_000 in
+    return
+      ( Extraction.make html_alpha left mark Regex.sigma_star,
+        String.concat "" parts,
+        seed )
+  in
+  QCheck.make gen ~print:(fun (e, html, seed) ->
+      Printf.sprintf "%s on %S (seed %d)" (Extraction.to_string e) html seed)
+
 let tests ~count =
   [
     QCheck.Test.make ~count
@@ -223,45 +293,40 @@ let tests ~count =
           ]
         && retry = control);
     QCheck.Test.make ~count
-      ~name:"serve: budget exhaustion is isolated; ample fuel ≡ unbudgeted"
-      (Oracle_gen.arb_extraction_word_case ())
-      (fun (e, w) ->
+      ~name:"serve: budget exhaustion at any token is isolated and exact"
+      (QCheck.pair (Oracle_gen.arb_extraction_word_case ()) QCheck.small_nat)
+      (fun ((e, w), seed) ->
         let e = onlineify e in
         let m = Extraction.compile e in
         let alpha = e.Extraction.alpha in
         let n = Array.length w in
-        let syms = Array.to_list w in
         let solo fuel =
           Supervisor.handle_batch (sup m alpha)
-            [ open_line ?fuel 2; tokens_line alpha 2 syms; close_line 2 ]
+            [ open_line ?fuel 2; tokens_line alpha 2 (Array.to_list w); close_line 2 ]
         in
+        let rng = Random.State.make [| seed |] in
         (* fuel beyond the stream length is unobservable *)
-        let ample_invisible =
-          bytes_for 2 (solo (Some (n + 1))) = bytes_for 2 (solo None)
-        in
-        if n = 0 then ample_invisible
-        else
-          (* session 1 starves at its last token; session 2, fed the
-             same stream unbudgeted, must not notice *)
-          let pair =
-            Supervisor.handle_batch (sup m alpha)
-              [
-                open_line ~fuel:(n - 1) 1;
-                open_line 2;
-                tokens_line alpha 1 syms;
-                tokens_line alpha 2 syms;
-                close_line 1;
-                close_line 2;
-              ]
-          in
-          ample_invisible
-          && bytes_for 2 pair = bytes_for 2 (solo None)
-          && List.exists
-               (function
-                 | Frame.Err_budget { id = 1; stage; spent; limit } ->
-                     stage = "stream" && spent = n && limit = n - 1
-                 | _ -> false)
-               pair);
+        bytes_for 2 (solo (Some (n + 1))) = bytes_for 2 (solo None)
+        && (n = 0
+           || budget_cut_holds m ~word:w ~k:(Random.State.int rng n)
+                ~feed:
+                  (List.map
+                     (fun syms id -> tokens_line alpha id (Array.to_list syms))
+                     (random_chunks rng n (Array.sub w)))));
+    QCheck.Test.make ~count
+      ~name:"serve: page budget exhaustion at any token is isolated and exact"
+      arb_page_case
+      (fun (e, html, seed) ->
+        let m = Extraction.compile e in
+        let word = Front.word (Front.build html_alpha) html in
+        let rng = Random.State.make [| seed |] in
+        Array.length word = 0
+        || budget_cut_holds m ~word
+             ~k:(Random.State.int rng (Array.length word))
+             ~feed:
+               (List.map
+                  (fun chunk id -> page_line id chunk)
+                  (random_chunks rng (String.length html) (String.sub html))));
     QCheck.Test.make ~count
       ~name:"serve: Frame.decode is total and inverts the frame builders"
       QCheck.(

@@ -4,23 +4,12 @@ type event =
   | Bad_symbol of string
   | Faulted of string
 
-(* The fiber protocol: the matcher's input Seq performs [Await] for
-   every element; [Some a] is the next token, [None] is end-of-stream.
-   The deep handler parks the one-shot continuation in [fiber];
-   resuming runs the matcher exactly until it needs the next token
-   (emitting splits into [pending] on the way) or until it finishes. *)
-type _ Effect.t += Await : int option Effect.t
-
-type fiber =
-  | Suspended of (int option, unit) Effect.Deep.continuation
-  | Finished
-
 type t = {
   sid : int;
   sordinal : int;
   sgeneration : int;
       (* the wrapper generation this session was admitted under; a heal
-         swap mid-stream never migrates a live fiber *)
+         swap mid-stream never changes a live session's matcher *)
   alpha : Alphabet.t;
   front : Front.table option;
       (* shared fused-front-end token table (supervisor builds one per
@@ -32,7 +21,8 @@ type t = {
          when healing is off, so the hot path allocates nothing *)
   capture_max : int;
   mutable capture_overflow : bool;
-  mutable fiber : fiber;
+  stepper : Extraction.stepper;
+      (* the whole matcher state: left-DFA state and position *)
   mutable live : bool;
   mutable failed : bool;
       (* a terminal event (bad symbol / budget / fault) killed the
@@ -64,82 +54,36 @@ let create ~matcher ~alpha ~id ~ordinal ?front ?fuel ?deadline_ms
              ~fuel:(Option.value fuel ~default:max_int)
              ?deadline_ms ())
   in
-  let t =
-    {
-      sid = id;
-      sordinal = ordinal;
-      sgeneration = generation;
-      alpha;
-      front;
-      budget;
-      capture = Option.map (fun _ -> Buffer.create 1024) capture;
-      capture_max = Option.value capture ~default:0;
-      capture_overflow = false;
-      fiber = Finished;
-      live = true;
-      failed = false;
-      tokens = 0;
-      splits = 0;
-      f_stream = None;
-      pending = [];
-    }
-  in
-  let rec input () =
-    match Effect.perform Await with
-    | None -> Seq.Nil
-    | Some a ->
-        (* one fuel unit per token: the serve analogue of the
-           one-unit-per-DFA-state discipline of lib/automata *)
-        Guard.charge ~stage:"stream" 1;
-        Seq.Cons (a, input)
-  in
-  let run () =
-    Seq.iter
-      (fun pos ->
-        t.splits <- t.splits + 1;
-        t.pending <- Split pos :: t.pending)
-      (Extraction.matcher_stream_splits matcher input)
-  in
-  (* Runs until the first [Await] (no input consumed yet, so no charge
-     can fire here); [Extraction.Not_online] propagates via [exnc]. *)
-  Effect.Deep.match_with run ()
-    {
-      retc = (fun () -> t.fiber <- Finished);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Await ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  t.fiber <- Suspended k)
-          | _ -> None);
-    };
-  t
+  {
+    sid = id;
+    sordinal = ordinal;
+    sgeneration = generation;
+    alpha;
+    front;
+    budget;
+    capture = Option.map (fun _ -> Buffer.create 1024) capture;
+    capture_max = Option.value capture ~default:0;
+    capture_overflow = false;
+    stepper = Extraction.stepper matcher;
+    live = true;
+    failed = false;
+    tokens = 0;
+    splits = 0;
+    f_stream = None;
+    pending = [];
+  }
 
-(* Resume with the next token (or end-of-stream).  The fiber either
-   re-suspends (handler stores the new continuation), finishes (retc),
-   or lets an exception through — in which case its stack has unwound
-   and [fiber] correctly stays [Finished]. *)
-let resume t v =
-  match t.fiber with
-  | Finished -> ()
-  | Suspended k -> (
-      t.fiber <- Finished;
-      let go () = Effect.Deep.continue k v in
-      match t.budget with None -> go () | Some b -> Guard.with_budget b go)
-
-let discard_fiber t =
-  match t.fiber with
-  | Finished -> ()
-  | Suspended k -> (
-      t.fiber <- Finished;
-      (* unwind the matcher's stack; Exit comes straight back out *)
-      try Effect.Deep.discontinue k Exit with _ -> ())
-
-let kill t =
-  t.live <- false;
-  discard_fiber t
+(* One token: count it, charge one fuel unit (the serve analogue of
+   the one-unit-per-DFA-state discipline of lib/automata), step the
+   matcher, and pin a split on a hit.  An exhausting charge leaves the
+   token counted but unstepped. *)
+let push t a =
+  t.tokens <- t.tokens + 1;
+  Guard.charge ~stage:"stream" 1;
+  if Extraction.step t.stepper a then begin
+    t.splits <- t.splits + 1;
+    t.pending <- Split (Extraction.stepper_pos t.stepper - 1) :: t.pending
+  end
 
 let drain_pending t =
   let evs = List.rev t.pending in
@@ -147,13 +91,30 @@ let drain_pending t =
   evs
 
 (* Terminal event: the session dies, whatever was already pinned this
-   feed is kept (those splits are valid — they precede the failure
+   call is kept (those splits are valid — they precede the failure
    point in the stream). *)
 let die t ev =
   t.live <- false;
   t.failed <- true;
-  discard_fiber t;
   t.pending <- ev :: t.pending
+
+(* One call's work [f t x] on a live session: the budget is installed
+   once around it (the per-token charge meters it), every failure
+   becomes a terminal event, and the call answers the events it
+   produced.  [f] is a top-level function, so an unbudgeted call
+   allocates no closure. *)
+let advance t f x =
+  if not t.live then []
+  else begin
+    (try
+       match t.budget with
+       | None -> f t x
+       | Some b -> Guard.with_budget b (fun () -> f t x)
+     with
+    | Guard.Exhausted r -> die t (Budget_exhausted r)
+    | e -> die t (Faulted (Printexc.to_string e)));
+    drain_pending t
+  end
 
 (* Capture happens outside the liveness check (the supervisor records
    every [page] chunk of a heal-observed session, even after it died on
@@ -173,32 +134,25 @@ let captured_page t =
       Some (Buffer.contents buf)
   | Some _ | None -> None
 
-let feed t names =
-  if not t.live then []
-  else begin
-    (try
-       Guard_faults.point_indexed Guard_faults.Session_item t.sordinal;
-       let rec go = function
-         | [] -> ()
-         | name :: rest -> (
-             match Alphabet.find t.alpha name with
-             | None -> die t (Bad_symbol name)
-             | Some a ->
-                 t.tokens <- t.tokens + 1;
-                 resume t (Some a);
-                 go rest)
-       in
-       go names
-     with
-    | Guard.Exhausted r -> die t (Budget_exhausted r)
-    | e -> die t (Faulted (Printexc.to_string e)));
-    drain_pending t
-  end
+let rec push_names t = function
+  | [] -> ()
+  | name :: rest -> (
+      match Alphabet.find_exn t.alpha name with
+      | exception Invalid_argument _ -> die t (Bad_symbol name)
+      | a ->
+          push t a;
+          push_names t rest)
 
-(* The session's incremental front-end, created on first use.  Tokens
-   emitted by the stream go through the exact [feed] path: count, then
-   resume — so a [page] session is indistinguishable from a [tokens]
-   session to the matcher fiber. *)
+let feed_names t names =
+  Guard_faults.point_indexed Guard_faults.Session_item t.sordinal;
+  push_names t names
+
+let feed t names = advance t feed_names names
+
+(* The session's incremental front-end, created on first use.  Each
+   symbol the stream emits goes through the exact [feed] path ([push]),
+   so a [page] session is indistinguishable from a [tokens] session to
+   the matcher. *)
 let stream_of t =
   match t.f_stream with
   | Some st -> st
@@ -210,45 +164,26 @@ let stream_of t =
       t.f_stream <- Some st;
       st
 
-let feed_page t html =
-  if not t.live then []
-  else begin
-    (try
-       Guard_faults.point_indexed Guard_faults.Session_item t.sordinal;
-       match
-         Front.stream_feed (stream_of t) html ~emit:(fun a ->
-             t.tokens <- t.tokens + 1;
-             resume t (Some a))
-       with
-       | Ok () -> ()
-       | Error name -> die t (Bad_symbol name)
-     with
-    | Guard.Exhausted r -> die t (Budget_exhausted r)
-    | e -> die t (Faulted (Printexc.to_string e)));
-    drain_pending t
-  end
+let feed_html t html =
+  Guard_faults.point_indexed Guard_faults.Session_item t.sordinal;
+  match Front.stream_feed (stream_of t) html ~emit:(push t) with
+  | Ok () -> ()
+  | Error name -> die t (Bad_symbol name)
+
+let feed_page t html = advance t feed_html html
+
+(* With a Σ* right side end-of-stream needs no matcher step; only the
+   page front-end is flushed: carried bytes and still-open elements
+   emit their final symbols. *)
+let flush t () =
+  match t.f_stream with
+  | None -> ()
+  | Some st -> (
+      match Front.stream_finish st ~emit:(push t) with
+      | Ok () -> ()
+      | Error name -> die t (Bad_symbol name))
 
 let finish t =
-  if not t.live then []
-  else begin
-    (try
-       (match t.f_stream with
-       | None -> ()
-       | Some st -> (
-           (* flush the page front-end first: carried bytes and still
-              open elements emit their final symbols before the matcher
-              sees end-of-stream *)
-           match
-             Front.stream_finish st ~emit:(fun a ->
-                 t.tokens <- t.tokens + 1;
-                 resume t (Some a))
-           with
-           | Ok () -> ()
-           | Error name -> die t (Bad_symbol name)));
-       if t.live then resume t None
-     with
-    | Guard.Exhausted r -> die t (Budget_exhausted r)
-    | e -> die t (Faulted (Printexc.to_string e)));
-    t.live <- false;
-    drain_pending t
-  end
+  let evs = advance t flush () in
+  t.live <- false;
+  evs

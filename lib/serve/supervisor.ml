@@ -264,8 +264,8 @@ let handle_batch t lines =
   (* --- pass 2: parallel advance, one pool item per session.
 
      Slots are grouped per session object in arrival order; each
-     group runs sequentially on its participant (a session is a
-     single fiber — order within it is semantics), while distinct
+     group runs sequentially on its participant (a session's tokens
+     form one stream — order within it is semantics), while distinct
      sessions are independent by construction.  Results land in
      per-slot cells, so emission order never depends on the
      schedule. *)

@@ -60,7 +60,7 @@ type config = {
           captured whole for the quarantine.  When the manager heals,
           the supervisor adopts the new generation's matcher, alphabet,
           and front-end table for sessions opened from the next frame
-          on (live fibers are never migrated) and appends one
+          on (live sessions keep their matcher) and appends one
           [{"ok":"healed",…}] frame after the batch's output.  [None]
           leaves every byte of output identical to a daemon built
           without the heal subsystem. *)

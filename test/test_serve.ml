@@ -1,4 +1,5 @@
-(* Unit tests for the serve subsystem: the session fiber's lifecycle,
+(* Unit tests for the serve subsystem: the session's lifecycle and
+   per-token cost,
    the supervisor's admission ladder and drain, and the snapshot-delta
    helpers the daemon's --stats report is built on.  The differential
    properties (streamed ≡ offline, isolation as byte identity) live in
@@ -175,6 +176,82 @@ let test_sup_page_unknown_tag () =
     ]
     out
 
+(* --- allocation pins ---
+
+   A session steps its matcher directly, so feeding it allocates per
+   call and per split, never per token.  The page is the generated
+   catalog page of test_html's stream pin, fed in 4 KiB chunks; the
+   token session is fed the same page's symbol names 8 at a time (the
+   shape of a serve_tokens frame).  Each is pinned at 1 minor word per
+   token; a budgeted page session too (installing the budget costs a
+   few words per call, which 8-token frames would not amortize). *)
+
+let catalog_page () =
+  let rng = Random.State.make [| 0xa110c |] in
+  let profile =
+    { (Pagegen.random_profile rng) with Pagegen.product_rows = 120 }
+  in
+  Html_tree.to_string (Pagegen.generate rng profile)
+
+let rec chunks_of k = function
+  | [] -> []
+  | l ->
+      let rec take n acc = function
+        | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let c, rest = take k [] l in
+      c :: chunks_of k rest
+
+(* Minor words per token over 20 runs of [run], after one warm-up run
+   whose session is returned for inspection. *)
+let words_per_token run =
+  let s = run () in
+  let reps = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (run ()))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+  (s, words /. float_of_int (Session.tokens_fed s))
+
+let test_session_allocation () =
+  let page = catalog_page () in
+  let abs = Abstraction.Tags in
+  let alpha = Wrapper.alphabet_for ~abs [] in
+  let tbl = Front.build ~abs alpha in
+  let m = Extraction.compile (Extraction.parse alpha "([^TD])* <TD> .*") in
+  let len = String.length page in
+  let page_chunks =
+    List.init
+      ((len + 4095) / 4096)
+      (fun i -> String.sub page (i * 4096) (min 4096 (len - (i * 4096))))
+  in
+  let names =
+    chunks_of 8
+      (List.map (Alphabet.name alpha) (Array.to_list (Front.word tbl page)))
+  in
+  let session ?fuel () =
+    Session.create ~matcher:m ~alpha ~id:1 ~ordinal:0 ~front:tbl ?fuel ()
+  in
+  let check name ?fuel feed_one chunks =
+    let run () =
+      let s = session ?fuel () in
+      List.iter (fun c -> ignore (feed_one s c)) chunks;
+      ignore (Session.finish s);
+      s
+    in
+    let s, per_token = words_per_token run in
+    Alcotest.(check bool) (name ^ ": clean finish") false (Session.failed s);
+    Alcotest.(check int) (name ^ ": one split") 1 (Session.splits_emitted s);
+    if per_token > 1.0 then
+      Alcotest.failf "%s allocates %.2f minor words/token (pin: 1)" name
+        per_token
+  in
+  check "feed_page" Session.feed_page page_chunks;
+  check "budgeted feed_page" ~fuel:max_int Session.feed_page page_chunks;
+  check "feed" Session.feed names
+
 (* --- supervisor --- *)
 
 let test_sup_admission_ladder () =
@@ -306,6 +383,8 @@ let () =
             test_session_injected_fault;
           Alcotest.test_case "page stream through the fused front-end" `Quick
             test_session_page_stream;
+          Alcotest.test_case "no per-token allocation" `Quick
+            test_session_allocation;
         ] );
       ( "page-frames",
         [
