@@ -13,16 +13,16 @@ let () =
              r.stage r.spent r.limit)
     | _ -> None)
 
-(* How many charge units between wall-clock checks: frequent enough to
+(* How many charge units between clock checks: frequent enough to
    catch a blow-up within a fraction of a millisecond of DFA work,
-   rare enough that gettimeofday never shows up in a profile. *)
+   rare enough that the clock read never shows up in a profile. *)
 let deadline_check_period = 256
 
 module Budget = struct
   type t = {
     fuel_limit : int;
     mutable spent : int;
-    deadline : float option; (* absolute, Unix.gettimeofday scale *)
+    deadline : int option; (* absolute, Obs.now_ns scale *)
     mutable countdown : int; (* charges until the next clock check *)
   }
 
@@ -36,9 +36,7 @@ module Budget = struct
       fuel_limit = fuel;
       spent = 0;
       deadline =
-        Option.map
-          (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
-          deadline_ms;
+        Option.map (fun ms -> Obs.now_ns () + (ms * 1_000_000)) deadline_ms;
       countdown = deadline_check_period;
     }
 
@@ -71,7 +69,7 @@ let charge ~stage n =
       if b.Budget.countdown <= 0 then begin
         b.Budget.countdown <- deadline_check_period;
         match b.Budget.deadline with
-        | Some t when Unix.gettimeofday () > t ->
+        | Some t when Obs.now_ns () > t ->
             raise
               (Exhausted
                  {

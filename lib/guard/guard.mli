@@ -44,8 +44,9 @@ module Budget : sig
 
   val make : fuel:int -> ?deadline_ms:int -> unit -> t
   (** A fresh budget of [fuel] charge units.  [deadline_ms], when
-      given, sets an absolute wall-clock deadline that many
-      milliseconds from now (checked every few hundred charges, so a
+      given, sets a deadline that many milliseconds from now on the
+      monotonic {!Obs.now_ns} clock, so a wall-clock step neither
+      fires nor suppresses it (checked every few hundred charges, so a
       blow-up is caught within a fraction of a millisecond of work).
       @raise Invalid_argument if [fuel < 0] or [deadline_ms < 0]. *)
 

@@ -24,7 +24,7 @@ let entries_total = Atomic.make 0
 let interner_hits = Atomic.make 0
 let interner_misses = Atomic.make 0
 
-(* last matcher geometry seen by extract/splits: alphabet width vs
+(* last matcher geometry seen by extract: alphabet width vs
    compressed class count — the compression ratio --stats reports *)
 let last_alpha = Atomic.make 0
 let last_classes = Atomic.make 0
@@ -961,7 +961,7 @@ let record_geometry m =
 (* online: push each id through the matcher's stepper as it arrives
    (the suffix is Σ*, always accepted).  The first hit's path is
    captured from the live stack. *)
-let run_online tbl m html ~want_path =
+let run_online tbl m html =
   let st = Extraction.stepper m in
   let eng = make_engine tbl ~arena:false in
   let hits = ref [] and nhits = ref 0 in
@@ -969,7 +969,7 @@ let run_online tbl m html ~want_path =
   eng.on_sym <-
     (fun sym ->
       if Extraction.step st sym then begin
-        if want_path && !nhits = 0 then path := cur_path eng;
+        if !nhits = 0 then path := cur_path eng;
         hits := Extraction.stepper_pos st - 1 :: !hits;
         incr nhits
       end);
@@ -1002,7 +1002,7 @@ let extract tbl m html =
   match
     record_geometry m;
     if Extraction.matcher_online m then begin
-      let hits, path = run_online tbl m html ~want_path:true in
+      let hits, path = run_online tbl m html in
       match hits with
       | [] -> Error No_match
       | [ _ ] -> Ok path
@@ -1025,27 +1025,6 @@ let extract tbl m html =
   | r ->
       Obs.Span.exit sp;
       r
-
-let splits tbl m html =
-  let sp = Obs.Span.enter Obs.Span.Front in
-  match
-    record_geometry m;
-    if Extraction.matcher_online m then
-      fst (run_online tbl m html ~want_path:false)
-    else begin
-      let splits, _, _ = run_offline tbl m html in
-      splits
-    end
-  with
-  | exception Unknown_sym name ->
-      Obs.Span.exit sp;
-      Error name
-  | exception e ->
-      Obs.Span.fail sp;
-      raise e
-  | r ->
-      Obs.Span.exit sp;
-      Ok r
 
 (* --- incremental streaming --- *)
 

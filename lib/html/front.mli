@@ -61,10 +61,6 @@ val extract : table -> Extraction.matcher -> string -> (Html_tree.path, error) r
     parent-pointer node arena (still no strings, no tree) and run the
     two-pass {!Extraction.matcher_splits}. *)
 
-val splits : table -> Extraction.matcher -> string -> (int list, string) result
-(** All split positions (ascending) over the page's symbol sequence;
-    [Error tag] when the page emits an unknown symbol. *)
-
 (** {1 Incremental streaming}
 
     The same engine, fed chunk by chunk — the [serve] daemon's [page]

@@ -13,12 +13,13 @@ let set_enabled b = Atomic.set on b
 
 (* --- clock ---
 
-   Unix.gettimeofday is the only clock in the dependency cone (no
-   mtime); nanoseconds relative to module init keep durations in small
-   ints.  Wall time can step backwards, so durations clamp at 0. *)
+   CLOCK_MONOTONIC through bechamel's allocation-free stub: a wall-clock
+   step cannot move it, so durations are never negative and a step
+   neither fires nor suppresses a guard deadline.  Nanoseconds relative
+   to module init keep readings in small ints. *)
 
-let epoch = Unix.gettimeofday ()
-let now_ns () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e9)
+let epoch = Monotonic_clock.now ()
+let now_ns () = Int64.to_int (Int64.sub (Monotonic_clock.now ()) epoch)
 
 (* --- JSON --- *)
 
@@ -575,7 +576,7 @@ module Span = struct
       end
 
   let close_rec r ~failed ~note =
-    r.dur_ns <- max 0 (now_ns () - r.start_ns);
+    r.dur_ns <- now_ns () - r.start_ns;
     r.note <- note;
     r.failed <- failed;
     Histogram.observe histograms.(stage_id r.stage) r.dur_ns

@@ -28,9 +28,9 @@
     [reset ()], which are snapshot operations: call them from a
     quiesced process (no batch in flight) for exact totals.
 
-    {b Clock.}  [Unix.gettimeofday] (the only clock the dependency
-    cone offers — no [mtime]); durations are clamped at zero so a
-    wall-clock step backwards cannot produce negative latencies. *)
+    {b Clock.}  The monotonic clock ([CLOCK_MONOTONIC], read through
+    [bechamel.monotonic_clock]), so a wall-clock step can neither
+    produce a negative latency nor move a {!Guard} deadline. *)
 
 val set_enabled : bool -> unit
 (** Turn tracing/metrics collection on or off (default off). *)
@@ -40,8 +40,9 @@ val enabled : unit -> bool
 val now_ns : unit -> int
 (** Nanoseconds since process start (the span clock), exposed so
     runtime-side consumers (the {!Pool} cost estimator) can time work
-    units without growing their own [Unix] dependency.  Wall-clock
-    based; treat differences as best-effort durations. *)
+    units without growing their own [Unix] dependency, and so
+    {!Guard} deadlines share the span clock.  Monotonic: differences
+    are never negative. *)
 
 (** {1 Packed hit/miss pairs}
 

@@ -184,64 +184,49 @@ let of_artifact a =
           strategy = None;
         }
 
-let extract_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?(retries = 0) c
-    docs =
+(* The batch fan-out both entry points share: [step] answers one item
+   and [cost] is its relative weight for the pool's chunk planner, so
+   giants plan as singleton units before they ever run. *)
+let map_batch ?jobs ?chunk ?fuel ?deadline_ms ?(retries = 0) ~cost step items =
   let step =
     match (fuel, deadline_ms) with
-    | None, None -> extract_compiled c
+    | None, None -> step
     | _ ->
-        (* Per-item escalating budget: each document gets its own fuel
+        (* Per-item escalating budget: each item gets its own fuel
            allowance and fresh deadline, so one adversarial page
            answers UNKNOWN instead of stalling the whole batch. *)
         let fuel = Option.value fuel ~default:max_int in
         let steps = Guard.escalation_steps ~fuel ~retries in
-        fun doc ->
+        fun item ->
           (match
-             Guard.with_escalation ~steps ?deadline_ms (fun () ->
-                 extract_compiled c doc)
+             Guard.with_escalation ~steps ?deadline_ms (fun () -> step item)
            with
           | Guard.Decided r -> r
           | Guard.Unknown reason -> Error (Exhausted_budget reason))
   in
-  (* node count as the chunk planner's relative weight: page size is
-     the best static proxy for the linear-time matching cost (Lemma
-     5.2), so giants plan as singleton units before they ever run *)
   List.map
     (function Ok r -> r | Error msg -> Error (Worker_error msg))
-    (Batch.map_isolated ?jobs ~cost:Html_tree.count_nodes ?chunk step docs)
+    (Batch.map_isolated ?jobs ~cost ?chunk step items)
+
+(* node count is the tree path's weight: page size is the best static
+   proxy for the linear-time matching cost (Lemma 5.2) *)
+let extract_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?retries c docs =
+  map_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries
+    ~cost:Html_tree.count_nodes (extract_compiled c) docs
 
 let extract_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries t docs =
   extract_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?retries (compile t)
     docs
 
-let extract_raw_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?(retries = 0) c
-    pages =
+let extract_raw_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries t pages =
+  let c = compile t in
   (* force the token table on the submitting domain: workers must
      share one frozen table, not race to build their own *)
   ignore (Lazy.force c.c_front);
-  let step =
-    match (fuel, deadline_ms) with
-    | None, None -> extract_raw c
-    | _ ->
-        let fuel = Option.value fuel ~default:max_int in
-        let steps = Guard.escalation_steps ~fuel ~retries in
-        fun html ->
-          (match
-             Guard.with_escalation ~steps ?deadline_ms (fun () ->
-                 extract_raw c html)
-           with
-          | Guard.Decided r -> r
-          | Guard.Unknown reason -> Error (Exhausted_budget reason))
-  in
   (* byte length is the raw-page analogue of the node-count weight: the
      fused pass is linear in the input bytes *)
-  List.map
-    (function Ok r -> r | Error msg -> Error (Worker_error msg))
-    (Batch.map_isolated ?jobs ~cost:String.length ?chunk step pages)
-
-let extract_raw_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries t pages =
-  extract_raw_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?retries
-    (compile t) pages
+  map_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries ~cost:String.length
+    (extract_raw c) pages
 
 (* --- generation cell: atomic hot-swap for the self-healing loop ---
 
@@ -286,9 +271,4 @@ module Gen = struct
     let s = Atomic.get g in
     extract_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?retries
       s.g_compiled docs
-
-  let extract_raw_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries g pages =
-    let s = Atomic.get g in
-    extract_raw_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?retries
-      s.g_compiled pages
 end

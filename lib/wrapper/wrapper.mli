@@ -192,14 +192,4 @@ module Gen : sig
     (Html_tree.path, extract_error) result list
   (** {!Wrapper.extract_batch} against one atomic snapshot of the cell,
       reusing its pre-compiled matcher and front-end table. *)
-
-  val extract_raw_batch :
-    ?jobs:int ->
-    ?chunk:Pool.chunking ->
-    ?fuel:int ->
-    ?deadline_ms:int ->
-    ?retries:int ->
-    gen ->
-    string list ->
-    (Html_tree.path, extract_error) result list
 end
