@@ -1,3 +1,9 @@
+(* One fuel unit per subset state: the 2^n blow-up of the PSPACE-hard
+   instances (Thm 5.12) is charged right where it materializes. *)
+let new_state () =
+  Guard.charge ~stage:"determinize" 1;
+  Guard_faults.point Guard_faults.Determinize
+
 let run (n : Nfa.t) : Dfa.t =
   let sp = Obs.Span.enter Obs.Span.Determinize in
   try
@@ -13,11 +19,7 @@ let run (n : Nfa.t) : Dfa.t =
     match Hashtbl.find_opt table key with
     | Some id -> id
     | None ->
-        (* One fuel unit per subset state: the 2^n blow-up of the
-           PSPACE-hard instances (Thm 5.12) is charged right where it
-           materializes. *)
-        Guard.charge ~stage:"determinize" 1;
-        Guard_faults.point Guard_faults.Determinize;
+        new_state ();
         let id = !count in
         incr count;
         Hashtbl.add table key id;

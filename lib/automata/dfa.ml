@@ -108,8 +108,18 @@ let restrict_states t keep =
         rename.(q) <- !next;
         incr next)
       keep;
+    let leaves =
+      Bitvec.exists
+        (fun q ->
+          let rec out a =
+            a < t.alpha_size
+            && ((not (Bitvec.mem keep (step t q a))) || out (a + 1))
+          in
+          out 0)
+        keep
+    in
     let sink = n_keep in
-    let size = n_keep + 1 in
+    let size = if leaves then n_keep + 1 else n_keep in
     let delta = Array.make (size * t.alpha_size) sink in
     let finals = Array.make size false in
     Bitvec.iter
@@ -182,6 +192,92 @@ let canonicalize t =
 let equal_structure a b =
   a.alpha_size = b.alpha_size && a.size = b.size && a.start = b.start
   && a.finals = b.finals && a.delta = b.delta
+
+type classes = { class_of : int array; n_classes : int; reprs : int array }
+
+let classes_by ~alpha_size ~hash ~same =
+  let class_of = Array.make alpha_size 0 in
+  (* hash -> (representative, class) of every class with that hash *)
+  let buckets : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
+  let reprs = ref [] in
+  let n = ref 0 in
+  for a = 0 to alpha_size - 1 do
+    let h = hash a in
+    let bucket = Option.value ~default:[] (Hashtbl.find_opt buckets h) in
+    match List.find_opt (fun (r, _) -> same r a) bucket with
+    | Some (_, c) -> class_of.(a) <- c
+    | None ->
+        let c = !n in
+        incr n;
+        class_of.(a) <- c;
+        reprs := a :: !reprs;
+        Hashtbl.replace buckets h ((a, c) :: bucket)
+  done;
+  { class_of; n_classes = !n; reprs = Array.of_list (List.rev !reprs) }
+
+let classes ?single ds =
+  let k =
+    match ds with
+    | [] -> invalid_arg "Dfa.classes: no automata"
+    | d :: rest ->
+        if List.exists (fun e -> e.alpha_size <> d.alpha_size) rest then
+          invalid_arg "Dfa.classes: alphabet size mismatch";
+        d.alpha_size
+  in
+  let is_single a = match single with Some s -> a = s | None -> false in
+  (* One row-major pass hashes every column at once. *)
+  let hashes = Array.init k (fun a -> if is_single a then 1 else 0) in
+  List.iter
+    (fun d ->
+      for q = 0 to d.size - 1 do
+        for a = 0 to k - 1 do
+          hashes.(a) <- (hashes.(a) * 31) + d.delta.((q * k) + a)
+        done
+      done)
+    ds;
+  let same a b =
+    is_single a = is_single b
+    && List.for_all
+         (fun d ->
+           let rec col q =
+             q >= d.size
+             || d.delta.((q * k) + a) = d.delta.((q * k) + b) && col (q + 1)
+           in
+           col 0)
+         ds
+  in
+  classes_by ~alpha_size:k ~hash:(Array.get hashes) ~same
+
+let is_identity c = c.n_classes = Array.length c.class_of
+
+let shrink c d =
+  if is_identity c then d
+  else begin
+    let k = d.alpha_size and nc = c.n_classes in
+    if Array.length c.class_of <> k then
+      invalid_arg "Dfa.shrink: alphabet size";
+    let delta = Array.make (d.size * nc) 0 in
+    for q = 0 to d.size - 1 do
+      for x = 0 to nc - 1 do
+        delta.((q * nc) + x) <- d.delta.((q * k) + c.reprs.(x))
+      done
+    done;
+    { d with alpha_size = nc; delta }
+  end
+
+let expand c d =
+  if is_identity c then d
+  else begin
+    let k = Array.length c.class_of and nc = c.n_classes in
+    if d.alpha_size <> nc then invalid_arg "Dfa.expand: class count";
+    let delta = Array.make (d.size * k) 0 in
+    for q = 0 to d.size - 1 do
+      for a = 0 to k - 1 do
+        delta.((q * k) + a) <- d.delta.((q * nc) + c.class_of.(a))
+      done
+    done;
+    { d with alpha_size = k; delta }
+  end
 
 let to_nfa t =
   let delta =

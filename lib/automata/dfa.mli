@@ -46,9 +46,12 @@ val live : t -> Bitvec.t
 
 val restrict_states : t -> Bitvec.t -> t option
 (** Keep only the given states (must include the start to return [Some]);
-    missing transitions are routed to a fresh sink, keeping the result
-    complete.  Returns [None] if the start state is excluded (empty
-    language); callers usually substitute [trivial ~alpha_size false]. *)
+    transitions leaving them are routed to a fresh sink, keeping the
+    result complete.  The sink is added only when some transition
+    leaves the kept states, so restricting to the reachable states
+    leaves no unreachable state behind.  Returns [None] if the start
+    state is excluded (empty language); callers usually substitute
+    [trivial ~alpha_size false]. *)
 
 val with_finals : t -> bool array -> t
 val complement : t -> t
@@ -64,6 +67,42 @@ val canonicalize : t -> t
     structurally equal. *)
 
 val equal_structure : t -> t -> bool
+
+(** {1 Symbol classes}
+
+    Symbols whose delta columns agree in every automaton of a set drive
+    every run of each through the same states, so a construction over
+    those automata can run on one representative per class.  Classes
+    are numbered by their least member; {!canonicalize}'s BFS then
+    visits a class-space DFA's states in the order it visits the
+    expanded DFA's, so the {!expand}ed canonical result is structurally
+    equal to the one built over the full alphabet. *)
+
+type classes = {
+  class_of : int array;  (** symbol → class *)
+  n_classes : int;
+  reprs : int array;  (** class → least member *)
+}
+
+val classes : ?single:int -> t list -> classes
+(** The joint classes of the given DFAs (all over one alphabet).
+    [single], when given, is kept in a class of its own.
+    @raise Invalid_argument on an empty list or mixed alphabet sizes. *)
+
+val classes_by :
+  alpha_size:int -> hash:(int -> int) -> same:(int -> int -> bool) -> classes
+(** The class loop behind {!classes}, for any column representation:
+    [same a b] is the equivalence, and [hash] must agree with it. *)
+
+val is_identity : classes -> bool
+(** Every symbol is its own class. *)
+
+val shrink : classes -> t -> t
+(** One column per class (its representative's).  The identity when
+    {!is_identity}, without a copy. *)
+
+val expand : classes -> t -> t
+(** Inverse of {!shrink}: every symbol takes its class's column. *)
 
 val to_nfa : t -> Nfa.t
 

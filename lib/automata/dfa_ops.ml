@@ -102,6 +102,94 @@ let shortest_accepted (d : Dfa.t) =
 let shortest_rejected d = shortest_accepted (Dfa.complement d)
 let shortest_in_difference a b = shortest_accepted (difference a b)
 
+(* Hashtbl.hash reads only a key's first few words, and a subset of a
+   large DFA's states spans many, so every word is mixed in.  A
+   singleton set is one high bit; the final shifts fold it down into
+   the bits that pick a bucket. *)
+module Keys = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+
+  let hash key =
+    let h = Array.fold_left (fun h w -> (h lxor w) * 0x3779B97F4A7C15) 0 key in
+    let h = (h lxor (h lsr 32)) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+end)
+
+(* L(a)·L(b) as a subset construction whose states are (state of a,
+   set of states of b): the states determinizing the Thompson
+   concatenation of the two DFAs reaches, without the NFA, its
+   ε-closures or string keys.  A key is [| qa; bitset words of S |]. *)
+let concat (a : Dfa.t) (b : Dfa.t) : Dfa.t =
+  check_alpha a b;
+  let sp = Obs.Span.enter Obs.Span.Determinize in
+  try
+  let k = a.Dfa.alpha_size and nb = b.Dfa.size in
+  let bits = Sys.int_size in
+  let words = (nb + bits - 1) / bits in
+  let add key s =
+    let w = 1 + (s / bits) in
+    key.(w) <- key.(w) lor (1 lsl (s mod bits))
+  in
+  let table = Keys.create 64 in
+  let queue = Queue.create () in
+  let count = ref 0 in
+  let rows : int array list ref = ref [] in
+  let finals_rev : bool list ref = ref [] in
+  let intern key =
+    match Keys.find_opt table key with
+    | Some id -> id
+    | None ->
+        Determinize.new_state ();
+        let id = !count in
+        incr count;
+        Keys.add table key id;
+        Queue.add key queue;
+        id
+  in
+  let entry qa =
+    let key = Array.make (words + 1) 0 in
+    key.(0) <- qa;
+    if a.Dfa.finals.(qa) then add key b.Dfa.start;
+    key
+  in
+  let start = intern (entry a.Dfa.start) in
+  while not (Queue.is_empty queue) do
+    let key = Queue.pop queue in
+    let members = ref [] in
+    for w = words downto 1 do
+      let x = key.(w) in
+      if x <> 0 then
+        for j = bits - 1 downto 0 do
+          if x land (1 lsl j) <> 0 then
+            members := (((w - 1) * bits) + j) :: !members
+        done
+    done;
+    let row = Array.make k 0 in
+    for c = 0 to k - 1 do
+      let next = entry (Dfa.step a key.(0) c) in
+      List.iter (fun s -> add next (Dfa.step b s c)) !members;
+      row.(c) <- intern next
+    done;
+    rows := row :: !rows;
+    finals_rev :=
+      List.exists (fun s -> b.Dfa.finals.(s)) !members :: !finals_rev
+  done;
+  let size = !count in
+  let delta = Array.make (size * k) 0 in
+  List.iteri
+    (fun i row -> Array.blit row 0 delta ((size - 1 - i) * k) k)
+    !rows;
+  let finals = Array.of_list (List.rev !finals_rev) in
+  let d = { Dfa.alpha_size = k; size; start; finals; delta } in
+  Dfa.validate d;
+  Obs.Span.exit_n sp size;
+  d
+  with e ->
+    Obs.Span.fail sp;
+    raise e
+
 let reverse (d : Dfa.t) = Determinize.run (Nfa.reverse (Dfa.to_nfa d))
 
 (* Pairs (qa, qb) of the full product from which an accepting pair is

@@ -35,6 +35,12 @@ val shortest_in_difference : Dfa.t -> Dfa.t -> int array option
 
 (** {1 Language operations} *)
 
+val concat : Dfa.t -> Dfa.t -> Dfa.t
+(** [L(a)·L(b)], built directly on the two DFAs: a state is a state of
+    [a] with the set of [b]'s states reached so far.  It builds the
+    subsets determinizing the Thompson concatenation would, charging
+    one ["determinize"] fuel unit each ({!Determinize.new_state}). *)
+
 val reverse : Dfa.t -> Dfa.t
 
 val suffix_quotient : Dfa.t -> Dfa.t -> Dfa.t

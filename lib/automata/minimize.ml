@@ -63,7 +63,10 @@ let moore d =
   done;
   quotient d cls
 
-(* Hopcroft's partition-refinement algorithm. *)
+(* Hopcroft's partition-refinement algorithm.  Fuel: one unit per block
+   and one per (block, symbol) splitter popped, so the charge grows with
+   the alphabet width; Lang minimizes over symbol classes, where a
+   splitter is a (block, class) pair. *)
 let hopcroft d =
   let d = reachable_part d in
   let n = d.Dfa.size and k = d.Dfa.alpha_size in

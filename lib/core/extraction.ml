@@ -85,9 +85,9 @@ let language t =
    trajectories, so the matcher cannot distinguish them: they share one
    class.  HTML alphabets with dozens of tags typically collapse to the
    handful of classes the expression actually separates, shrinking
-   delta rows for the fused front-end's hot loop.  The mark is forced
-   into a singleton class (its signature carries a distinguishing flag)
-   so that "class = c_mark" remains an exact test for "symbol = mark". *)
+   delta rows for the fused front-end's hot loop.  The mark is kept in a
+   class of its own (Dfa.classes ~single) so that "class = c_mark"
+   remains an exact test for "symbol = mark". *)
 
 type compressed = {
   class_of : int array;
@@ -98,48 +98,17 @@ type compressed = {
 }
 
 let compress expr ~left_dfa ~right_rev_dfa =
-  let k = left_dfa.Dfa.alpha_size in
-  let column (d : Dfa.t) a =
-    List.init d.Dfa.size (fun q -> d.Dfa.delta.((q * k) + a))
-  in
-  let tbl = Hashtbl.create 16 in
-  let class_of = Array.make k 0 in
-  let rev_reprs = ref [] in
-  let n = ref 0 in
-  for a = 0 to k - 1 do
-    let key = (a = expr.mark, column left_dfa a, column right_rev_dfa a) in
-    match Hashtbl.find_opt tbl key with
-    | Some c -> class_of.(a) <- c
-    | None ->
-        let c = !n in
-        incr n;
-        Hashtbl.add tbl key c;
-        class_of.(a) <- c;
-        rev_reprs := a :: !rev_reprs
-  done;
-  let reprs = Array.of_list (List.rev !rev_reprs) in
-  let nc = !n in
+  let c = Dfa.classes ~single:expr.mark [ left_dfa; right_rev_dfa ] in
   (* The shrunken DFAs inherit the validate invariants: every delta
      target is copied from a validated table, finals/size/start are
      unchanged, and the row width is exactly n_classes — so unsafe_step
      stays licensed on them. *)
-  let shrink (d : Dfa.t) =
-    {
-      Dfa.alpha_size = nc;
-      size = d.Dfa.size;
-      start = d.Dfa.start;
-      finals = Array.copy d.Dfa.finals;
-      delta =
-        Array.init (d.Dfa.size * nc) (fun i ->
-            d.Dfa.delta.(((i / nc) * k) + reprs.(i mod nc)));
-    }
-  in
   {
-    class_of;
-    n_classes = nc;
-    c_mark = class_of.(expr.mark);
-    c_left = shrink left_dfa;
-    c_right_rev = shrink right_rev_dfa;
+    class_of = c.Dfa.class_of;
+    n_classes = c.Dfa.n_classes;
+    c_mark = c.Dfa.class_of.(expr.mark);
+    c_left = Dfa.shrink c left_dfa;
+    c_right_rev = Dfa.shrink c right_rev_dfa;
   }
 
 type matcher = {

@@ -91,9 +91,9 @@ val matcher_expr : matcher -> t
     matcher therefore carries a quotiented form whose delta rows are
     indexed by {e class} ids — HTML alphabets with dozens of tags
     typically collapse to the handful of classes the expression
-    separates.  The mark's signature is tagged so it always lands in a
-    singleton class: [class = c_mark ⟺ symbol = mark], keeping the hot
-    loops' mark test exact.  Computed eagerly by both {!compile} and
+    separates ({!Dfa.classes}, the partition [Lang] builds with).  The
+    mark is kept in a class of its own: [class = c_mark ⟺ symbol =
+    mark], keeping the hot loops' mark test exact.  Computed eagerly by both {!compile} and
     {!matcher_of_validated} (so [.rxc]-loaded matchers get it without
     any wire-format change). *)
 

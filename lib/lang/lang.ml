@@ -8,15 +8,52 @@ let check_compat a b =
   if not (Alphabet.equal a.alpha b.alpha) then
     invalid_arg "Lang: operands over different alphabets"
 
+(* Every construction runs over the joint symbol classes of its
+   operands (Dfa.classes) and expands its minimal canonical result once.
+   Classes are numbered by least member, so the expansion is
+   structurally equal to the DFA the construction builds over the full
+   alphabet: cache keys, rendered expressions and artifacts do not
+   depend on it.  When every symbol is its own class nothing is
+   copied. *)
+let in_classes c f = Dfa.expand c (Minimize.minimize (f (Dfa.shrink c)))
+let classwise1 f d = in_classes (Dfa.classes [ d ]) (fun shrink -> f (shrink d))
+
+let classwise2 f a b =
+  in_classes (Dfa.classes [ a; b ]) (fun shrink -> f (shrink a) (shrink b))
+
 let of_dfa alpha d =
   if d.Dfa.alpha_size <> Alphabet.size alpha then
     invalid_arg "Lang.of_dfa: alphabet size mismatch";
-  { alpha; dfa = Minimize.minimize d }
+  { alpha; dfa = classwise1 Fun.id d }
+
+(* NFA columns are compared as successor lists; the loop that groups
+   them is Dfa.classes_by. *)
+let nfa_classes (n : Nfa.t) =
+  let hashes = Array.make n.Nfa.alpha_size 0 in
+  let mix h q = (h * 31) + q + 1 in
+  Array.iter
+    (Array.iteri (fun a succs ->
+         hashes.(a) <- List.fold_left mix hashes.(a) succs))
+    n.Nfa.delta;
+  Dfa.classes_by ~alpha_size:n.Nfa.alpha_size ~hash:(Array.get hashes)
+    ~same:(fun a b ->
+      Array.for_all (fun row -> row.(a) = row.(b)) n.Nfa.delta)
 
 let of_nfa alpha n =
   if n.Nfa.alpha_size <> Alphabet.size alpha then
     invalid_arg "Lang.of_nfa: alphabet size mismatch";
-  { alpha; dfa = Minimize.minimize (Determinize.run n) }
+  let c = nfa_classes n in
+  let shrunk =
+    if Dfa.is_identity c then n
+    else
+      let shrink row = Array.map (Array.get row) c.Dfa.reprs in
+      {
+        n with
+        Nfa.alpha_size = c.Dfa.n_classes;
+        delta = Array.map shrink n.Nfa.delta;
+      }
+  in
+  { alpha; dfa = in_classes c (fun _ -> Determinize.run shrunk) }
 
 let empty alpha =
   { alpha; dfa = Dfa.trivial ~alpha_size:(Alphabet.size alpha) false }
@@ -37,52 +74,29 @@ let binop stage tag f a b =
     dfa =
       Lang_cache.cached stage
         (Lang_cache.K_binop (tag, a.dfa, b.dfa))
-        (fun () -> Minimize.minimize (f a.dfa b.dfa));
+        (fun () -> classwise2 f a.dfa b.dfa);
+  }
+
+let unop stage tag f a =
+  {
+    a with
+    dfa =
+      Lang_cache.cached stage
+        (Lang_cache.K_unop (tag, a.dfa))
+        (fun () -> classwise1 f a.dfa);
   }
 
 let union = binop Lang_cache.Minimize "union" Dfa_ops.union
 let inter = binop Lang_cache.Minimize "inter" Dfa_ops.inter
 let diff = binop Lang_cache.Minimize "diff" Dfa_ops.difference
+let concat = binop Lang_cache.Determinize "concat" Dfa_ops.concat
 
-let concat a b =
-  check_compat a b;
-  {
-    a with
-    dfa =
-      Lang_cache.cached Lang_cache.Determinize
-        (Lang_cache.K_binop ("concat", a.dfa, b.dfa))
-        (fun () ->
-          Minimize.minimize
-            (Determinize.run (Nfa.concat (Dfa.to_nfa a.dfa) (Dfa.to_nfa b.dfa))));
-  }
+let star =
+  unop Lang_cache.Determinize "star" (fun d ->
+      Determinize.run (Nfa.star (Dfa.to_nfa d)))
 
-let star a =
-  {
-    a with
-    dfa =
-      Lang_cache.cached Lang_cache.Determinize
-        (Lang_cache.K_unop ("star", a.dfa))
-        (fun () ->
-          Minimize.minimize (Determinize.run (Nfa.star (Dfa.to_nfa a.dfa))));
-  }
-
-let complement a =
-  {
-    a with
-    dfa =
-      Lang_cache.cached Lang_cache.Minimize
-        (Lang_cache.K_unop ("compl", a.dfa))
-        (fun () -> Minimize.minimize (Dfa.complement a.dfa));
-  }
-
-let reverse a =
-  {
-    a with
-    dfa =
-      Lang_cache.cached Lang_cache.Determinize
-        (Lang_cache.K_unop ("reverse", a.dfa))
-        (fun () -> Minimize.minimize (Dfa_ops.reverse a.dfa));
-  }
+let complement = unop Lang_cache.Minimize "compl" Dfa.complement
+let reverse = unop Lang_cache.Determinize "reverse" Dfa_ops.reverse
 
 (* The regex front of the pipeline is cached per interned subexpression
    (Regex_hc), so re-deciding a property of E1⟨p⟩E2 never recompiles
@@ -132,13 +146,18 @@ let suffix_quotient =
 let prefix_quotient b a =
   binop Lang_cache.Quotient "prefix-quotient" Dfa_ops.prefix_quotient b a
 
+(* The counter DFA is an operand too: it separates [sym] from every
+   other symbol, so [sym] keeps a class of its own. *)
 let filter_count a ~sym n =
   {
     a with
     dfa =
       Lang_cache.cached Lang_cache.Quotient
         (Lang_cache.K_filter (a.dfa, sym, n))
-        (fun () -> Minimize.minimize (Dfa_ops.filter_count a.dfa ~sym n));
+        (fun () ->
+          let c = Dfa.classes ~single:sym [ a.dfa ] in
+          in_classes c (fun shrink ->
+              Dfa_ops.filter_count (shrink a.dfa) ~sym:c.Dfa.class_of.(sym) n));
   }
 
 let max_sym_count a ~sym = Dfa_ops.max_sym_count a.dfa ~sym

@@ -9,7 +9,15 @@
 
     Because the representation is canonical, {!equal} is structural and
     cheap, and every operation below is closed over the representation
-    (results are re-minimized). *)
+    (results are re-minimized).
+
+    Each construction runs over the joint symbol classes of its
+    operands ({!Dfa.classes}): one column per group of symbols every
+    operand treats alike, with the minimal canonical result expanded
+    once.  The expanded DFA is structurally equal to the one the same
+    construction builds over the full alphabet, so this is invisible
+    to callers except in cost (and in the minimization share of
+    {!Guard} fuel, which counts splitters per class). *)
 
 type t
 

@@ -13,6 +13,7 @@ let all =
     { name = "membership"; tests = Oracle_membership.tests };
     { name = "counting"; tests = Oracle_counting.tests };
     { name = "quotient-laws"; tests = Oracle_quotient.tests };
+    { name = "classes"; tests = Oracle_classes.tests };
     { name = "ambiguity"; tests = Oracle_ambiguity.tests };
     { name = "maximality"; tests = Oracle_maximality.tests };
     { name = "order-laws"; tests = Oracle_order.tests };

@@ -19,20 +19,23 @@ type outcome = {
 type suite = { name : string; tests : count:int -> QCheck.Test.t list }
 
 val all : suite list
-(** The fourteen oracle layers: membership, counting, quotient-laws,
-    ambiguity, maximality, order-laws, synthesis, runtime (the cached
-    pipeline vs. the direct one), guard (budgeted verdicts vs.
-    unbounded ones, fuel monotonicity, fault-injected batch
-    isolation), sched (the work-stealing pool vs. sequential
-    [List.map], matcher scratch path vs. its allocating reference),
-    obs (tracing is observation only), artifact (save∘load identity,
-    loaded ≡ fresh matchers, deserializer totality under truncation
-    and bit flips, cache seeding), serve (streamed sessions vs. the
-    offline matcher at every job count, fault/budget isolation as
-    byte identity, shed-then-retry equivalence, frame-decoder
+(** The sixteen oracle layers: membership, counting, quotient-laws,
+    classes (every [Lang] construction in class space vs. the same
+    kernel over the full alphabet), ambiguity, maximality, order-laws,
+    synthesis, runtime (the cached pipeline vs. the direct one), guard
+    (budgeted verdicts vs. unbounded ones, fuel monotonicity,
+    fault-injected batch isolation), sched (the work-stealing pool vs.
+    sequential [List.map], matcher scratch path vs. its allocating
+    reference), obs (tracing is observation only), artifact (save∘load
+    identity, loaded ≡ fresh matchers, deserializer totality under
+    truncation and bit flips, cache seeding), serve (streamed sessions
+    vs. the offline matcher at every job count, fault/budget isolation
+    as byte identity, shed-then-retry equivalence, frame-decoder
     totality), front (the fused zero-copy page pass vs. the
     materializing lex → tree → tag-sequence pipeline, chunk-boundary
-    invariance, class-compression soundness). *)
+    invariance, class-compression soundness), heal (a healing-disabled
+    daemon is byte-identical, drift and quarantine follow their pure
+    models, re-synthesized wrappers keep their training samples). *)
 
 val run : seed:int -> budget:int -> suite list -> outcome list
 (** [run ~seed ~budget suites] — [budget] is the total number of fuzz

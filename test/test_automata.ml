@@ -305,6 +305,50 @@ let test_state_elim_empty () =
   let r = State_elim.to_regex (dfa_of ab_pq "!") in
   check_bool "empty language renders as ∅" true (Regex.equal r Regex.empty)
 
+(* --- symbol classes --- *)
+
+let test_classes () =
+  (* symbols 0 and 2 share their column, 1 and 3 are their own *)
+  let d =
+    {
+      Dfa.alpha_size = 4;
+      size = 2;
+      start = 0;
+      finals = [| false; true |];
+      delta = [| 1; 0; 1; 1; 0; 0; 0; 1 |];
+    }
+  in
+  let c = Dfa.classes [ d ] in
+  check_bool "numbered by least member" true
+    (c.Dfa.class_of = [| 0; 1; 0; 2 |]);
+  check_bool "representatives" true (c.Dfa.reprs = [| 0; 1; 3 |]);
+  let s = Dfa.shrink c d in
+  check_int "one column per class" 3 s.Dfa.alpha_size;
+  check_bool "expand ∘ shrink = id" true
+    (Dfa.equal_structure (Dfa.expand c s) d);
+  let c2 = Dfa.classes ~single:2 [ d ] in
+  check_bool "single keeps its own class" true
+    (c2.Dfa.class_of = [| 0; 1; 2; 3 |]);
+  check_bool "identity shrinks without a copy" true (Dfa.shrink c2 d == d)
+
+(* Regression: restricting to the reachable states used to add a sink
+   even when no transition needed it, and canonicalization then failed
+   on the unreachable sink. *)
+let test_minimize_unreachable () =
+  let d =
+    {
+      Dfa.alpha_size = 2;
+      size = 2;
+      start = 0;
+      finals = [| true; false |];
+      delta = [| 0; 0; 0; 1 |];
+    }
+  in
+  check_int "hopcroft" 1 (Minimize.hopcroft d).Dfa.size;
+  check_int "moore" 1 (Minimize.moore d).Dfa.size
+
+let classes_oracle = of_oracle ~count:60 Oracle_classes.tests
+
 let () =
   Alcotest.run "automata"
     [
@@ -351,6 +395,11 @@ let () =
           Alcotest.test_case "state count" `Quick test_deriv_dfa_state_count;
           prop_three_engines_agree;
         ] );
+      ( "classes",
+        Alcotest.test_case "classes, shrink, expand" `Quick test_classes
+        :: Alcotest.test_case "minimize with unreachable states" `Quick
+             test_minimize_unreachable
+        :: classes_oracle );
       ("dot", [ Alcotest.test_case "rendering" `Quick test_dot_output ]);
       ( "state-elim",
         [
