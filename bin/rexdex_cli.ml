@@ -32,6 +32,17 @@ let expr_arg =
   let doc = "Extraction expression, e.g. '([^p])* <p> .*'." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc)
 
+(* check and serve: EXPR over -a, or --load *)
+let alphabet_opt_arg =
+  let doc =
+    "Alphabet symbols, comma-separated.  Required unless --load supplies \
+     the artifact's stored alphabet."
+  in
+  Arg.(
+    value
+    & opt (some (list ~sep:',' string)) None
+    & info [ "a"; "alphabet" ] ~docv:"SYMS" ~doc)
+
 let parse_env syms expr_str =
   let alpha = Alphabet.make syms in
   (alpha, Extraction.parse alpha expr_str)
@@ -59,6 +70,52 @@ let load_artifact path =
   | Error err ->
       Format.eprintf "%s: %s@." path (Artifact.error_to_string err);
       exit 2
+
+(* --- wrapper sources (check, batch, apply, serve) ---
+
+   One loader resolves every way to name a wrapper: an EXPR over -a,
+   a compiled artifact (--load, always through Wrapper.of_artifact,
+   which seeds the caches and parses the stored abstraction) and a
+   'learn --save' file (-w).  A command passes the sources it accepts
+   and [missing], its message when none was given.  The expression is
+   answered at once and the wrapper on demand: check decides the
+   expression under its budget and never needs a matcher. *)
+
+let load_wrapper ~missing ?syms ?expr ?saved ?load () =
+  let usage msg =
+    Format.eprintf "error: %s@." msg;
+    exit 2
+  in
+  let loaded path = function
+    | Ok w -> (w.Wrapper.expr, Lazy.from_val w)
+    | Error e ->
+        Format.eprintf "%s: %s@." path e;
+        exit 2
+  in
+  match (expr, saved, load) with
+  | Some expr, None, None -> (
+      match syms with
+      | None -> usage "-a/--alphabet is required without --load"
+      | Some syms ->
+          let alpha, e = parse_env syms expr in
+          ( e,
+            lazy
+              {
+                Wrapper.alpha;
+                abs = Abstraction.Tags;
+                expr = e;
+                matcher = Extraction.compile e;
+                strategy = None;
+              } ))
+  | None, Some path, None -> loaded path (Wrapper_io.load path)
+  | None, None, Some path ->
+      if syms <> None then
+        usage
+          "the alphabet is stored in the artifact; drop -a when using --load";
+      loaded path (Wrapper.of_artifact (load_artifact path))
+  | None, None, None -> usage missing
+  | Some _, _, _ -> usage "give either an EXPR or --load, not both"
+  | None, _, _ -> usage "give either -w/--wrapper or --load, not both"
 
 (* --- budget arguments (check, batch) ---
 
@@ -169,16 +226,6 @@ let handle_errors f =
 (* --- check --- *)
 
 let check_cmd =
-  let alphabet_opt_arg =
-    let doc =
-      "Alphabet symbols, comma-separated.  Required unless --load supplies \
-       the artifact's stored alphabet."
-    in
-    Arg.(
-      value
-      & opt (some (list ~sep:',' string)) None
-      & info [ "a"; "alphabet" ] ~docv:"SYMS" ~doc)
-  in
   let expr_opt_arg =
     let doc = "Extraction expression, e.g. '([^p])* <p> .*'." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc)
@@ -186,34 +233,12 @@ let check_cmd =
   let run syms expr_str load fuel deadline_ms retries trace metrics =
     handle_errors @@ fun () ->
     obs_setup trace metrics;
-    let alpha, e =
-      match (load, expr_str) with
-      | Some _, Some _ ->
-          Format.eprintf "error: give either an EXPR or --load, not both@.";
-          exit 2
-      | None, None ->
-          Format.eprintf
-            "error: give an EXPR to check, or --load a compiled artifact@.";
-          exit 2
-      | Some path, None ->
-          if syms <> None then begin
-            Format.eprintf
-              "error: the alphabet is stored in the artifact; drop -a when \
-               using --load@.";
-            exit 2
-          end;
-          let a = load_artifact path in
-          (* warm the language caches with the verified DFAs so the
-             decisions below count as warm-path traffic *)
-          Artifact.seed_caches a;
-          (a.Artifact.alpha, a.Artifact.expr)
-      | None, Some expr_str -> (
-          match syms with
-          | None ->
-              Format.eprintf "error: -a/--alphabet is required without --load@.";
-              exit 2
-          | Some syms -> parse_env syms expr_str)
+    let e, _ =
+      load_wrapper
+        ~missing:"give an EXPR to check, or --load a compiled artifact" ?syms
+        ?expr:expr_str ?load ()
     in
+    let alpha = e.Extraction.alpha in
     Format.printf "expression : %a@." Extraction.pp e;
     (* [decide name f]: unbudgeted when no bound was requested (the
        historical, total-for-in-budget-inputs path); otherwise the
@@ -344,7 +369,41 @@ let tokens_cmd =
   let doc = "print the tag-sequence abstraction (§3) of an HTML file" in
   Cmd.v (Cmd.info "tokens" ~doc) Term.(const run $ html_file_arg 0)
 
+(* --- the page loop (batch, apply, learn -t) ---
+
+   Raw bytes straight into the fused front-end, no parse tree: one line
+   per page, in input order.  Answers the (failures, unknowns) counts;
+   UNKNOWN is the budgeted "don't know", kept apart from a failure. *)
+
+let extract_pages ?fuel ?deadline_ms ?retries ~jobs w pages =
+  let results =
+    Wrapper.extract_raw_batch ~jobs ?fuel ?deadline_ms ?retries w
+      (List.map read_file pages)
+  in
+  List.fold_left2
+    (fun (failures, unknowns) f result ->
+      match result with
+      | Ok path ->
+          Format.printf "%s: target at %s@." f
+            (String.concat "." (List.map string_of_int path));
+          (failures, unknowns)
+      | Error e -> (
+          Format.printf "%s: %a@." f Wrapper.pp_extract_error e;
+          match e with
+          | Wrapper.Exhausted_budget _ -> (failures, unknowns + 1)
+          | _ -> (failures + 1, unknowns)))
+    (0, 0) pages results
+
 (* --- learn --- *)
+
+(* a marked sample page (learn, serve --heal) *)
+let load_sample f =
+  let doc = Html_tree.parse (read_file f) in
+  match Pagegen.target_path doc with
+  | Some path -> (doc, path)
+  | None ->
+      Format.eprintf "%s: no data-target element@." f;
+      exit 2
 
 let learn_cmd =
   let samples_arg =
@@ -391,15 +450,7 @@ let learn_cmd =
                      exit 2)
                specs)
     in
-    let load f =
-      let doc = Html_tree.parse (read_file f) in
-      match Pagegen.target_path doc with
-      | Some path -> (doc, path)
-      | None ->
-          Format.eprintf "%s: no data-target element@." f;
-          exit 2
-    in
-    let samples = List.map load sample_files in
+    let samples = List.map load_sample sample_files in
     let alpha = Wrapper.alphabet_for ~abs (List.map fst samples) in
     match Wrapper.learn ~maximize:(not no_max) ~abs ~alpha samples with
     | Error e ->
@@ -416,16 +467,7 @@ let learn_cmd =
             Wrapper_io.save w path;
             Format.printf "saved     : %s@." path
         | None -> ());
-        let c = Wrapper.compile w in
-        List.iter
-          (fun f ->
-            match Wrapper.extract_raw c (read_file f) with
-            | Ok path ->
-                Format.printf "%s: target at %s@." f
-                  (String.concat "." (List.map string_of_int path))
-            | Error e ->
-                Format.printf "%s: %a@." f Wrapper.pp_extract_error e)
-          test_files
+        ignore (extract_pages ~jobs:1 w test_files)
   in
   let doc = "induce a resilient wrapper from marked sample pages (§7)" in
   Cmd.v (Cmd.info "learn" ~doc)
@@ -444,24 +486,11 @@ let apply_cmd =
   in
   let run wrapper_file pages =
     handle_errors @@ fun () ->
-    match Wrapper_io.load wrapper_file with
-    | Error e ->
-        Format.eprintf "%s: %s@." wrapper_file e;
-        exit 2
-    | Ok w ->
-        let c = Wrapper.compile w in
-        let failures = ref 0 in
-        List.iter
-          (fun f ->
-            match Wrapper.extract_raw c (read_file f) with
-            | Ok path ->
-                Format.printf "%s: target at %s@." f
-                  (String.concat "." (List.map string_of_int path))
-            | Error e ->
-                incr failures;
-                Format.printf "%s: %a@." f Wrapper.pp_extract_error e)
-          pages;
-        if !failures > 0 then exit 1
+    let _, w =
+      load_wrapper ~missing:"a wrapper (-w) is required" ~saved:wrapper_file ()
+    in
+    let failures, _ = extract_pages ~jobs:1 (Lazy.force w) pages in
+    if failures > 0 then exit 1
   in
   let doc = "apply a saved wrapper to HTML pages" in
   Cmd.v (Cmd.info "apply" ~doc) Term.(const run $ wrapper_arg $ pages_arg)
@@ -506,82 +535,28 @@ let batch_cmd =
     in
     Arg.(value & opt_all int [] & info [ "inject-fault" ] ~docv:"IDX" ~doc)
   in
-  let chunk_arg =
-    let doc =
-      "Work-unit granularity: 'auto' plans cost-aware chunks from the \
-       latency estimator, a positive integer N forces fixed N-item \
-       chunks ('1' reproduces per-item scheduling).  Output is identical \
-       for every value."
-    in
-    Arg.(value & opt string "auto" & info [ "chunk" ] ~docv:"auto|N" ~doc)
-  in
   let run wrapper_file load pages jobs cache_size stats fuel deadline_ms
-      retries inject chunk trace metrics =
+      retries inject trace metrics =
     handle_errors @@ fun () ->
     obs_setup trace metrics;
-    let chunk =
-      match chunk with
-      | "auto" -> Pool.Auto
-      | s -> (
-          match int_of_string_opt s with
-          | Some k when k >= 1 -> Pool.Items k
-          | _ ->
-              Format.eprintf
-                "error: --chunk expects 'auto' or a positive integer, got %s@."
-                s;
-              exit 2)
-    in
     (match cache_size with Some n -> Runtime.set_cache_size n | None -> ());
     if inject <> [] then Guard_faults.arm Guard_faults.Batch_item ~at:inject;
-    let w =
-      match (wrapper_file, load) with
-      | Some _, Some _ ->
-          Format.eprintf "error: give either -w/--wrapper or --load, not both@.";
-          exit 2
-      | None, None ->
-          Format.eprintf
-            "error: a wrapper (-w) or a compiled artifact (--load) is \
-             required@.";
-          exit 2
-      | Some wf, None -> (
-          match Wrapper_io.load wf with
-          | Error e ->
-              Format.eprintf "%s: %s@." wf e;
-              exit 2
-          | Ok w -> w)
-      | None, Some path -> (
-          match Wrapper.of_artifact (load_artifact path) with
-          | Error e ->
-              Format.eprintf "%s: %s@." path e;
-              exit 2
-          | Ok w -> w)
+    let _, w =
+      load_wrapper
+        ~missing:"a wrapper (-w) or a compiled artifact (--load) is required"
+        ?saved:wrapper_file ?load ()
     in
     let jobs = if jobs <= 0 then Batch.recommended_jobs () else jobs in
-    (* raw bytes straight into the fused front-end: no parse tree *)
-    let results =
-      Wrapper.extract_raw_batch ~jobs ~chunk ?fuel ?deadline_ms ~retries w
-        (List.map read_file pages)
+    let failures, unknowns =
+      extract_pages ~jobs ?fuel ?deadline_ms ~retries (Lazy.force w) pages
     in
-    let failures = ref 0 and unknowns = ref 0 in
-    List.iter2
-      (fun f result ->
-        match result with
-        | Ok path ->
-            Format.printf "%s: target at %s@." f
-              (String.concat "." (List.map string_of_int path))
-        | Error e ->
-            (match e with
-            | Wrapper.Exhausted_budget _ -> incr unknowns
-            | _ -> incr failures);
-            Format.printf "%s: %a@." f Wrapper.pp_extract_error e)
-      pages results;
     if stats then begin
       Format.eprintf "%a" Runtime.Stats.pp (Runtime.stats ());
       Format.eprintf "%a" Pool.pp_stats (Pool.stats ());
       Format.eprintf "%a" Front.pp_stats (Front.stats ())
     end;
-    if !unknowns > 0 then exit exit_unknown;
-    if !failures > 0 then exit 1
+    if unknowns > 0 then exit exit_unknown;
+    if failures > 0 then exit 1
   in
   let doc =
     "apply a saved wrapper to many pages at once (compile-once \
@@ -592,22 +567,11 @@ let batch_cmd =
       const run $ wrapper_arg
       $ load_arg ~instead_of:"a 'learn --save' wrapper file"
       $ pages_arg $ jobs_arg $ cache_size_arg $ stats_arg $ fuel_arg
-      $ deadline_arg $ retries_arg $ inject_fault_arg $ chunk_arg $ trace_arg
-      $ metrics_arg)
+      $ deadline_arg $ retries_arg $ inject_fault_arg $ trace_arg $ metrics_arg)
 
 (* --- serve --- *)
 
 let serve_cmd =
-  let alphabet_opt_arg =
-    let doc =
-      "Alphabet symbols, comma-separated.  Required unless --load supplies \
-       the artifact's stored alphabet."
-    in
-    Arg.(
-      value
-      & opt (some (list ~sep:',' string)) None
-      & info [ "a"; "alphabet" ] ~docv:"SYMS" ~doc)
-  in
   let expr_opt_arg =
     let doc = "Extraction expression with a Σ* right side (online, §7)." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc)
@@ -738,7 +702,7 @@ let serve_cmd =
     handle_errors @@ fun () ->
     obs_setup trace metrics;
     if inject <> [] then Guard_faults.arm Guard_faults.Session_item ~at:inject;
-    let alpha, matcher, heal_mgr =
+    let w, heal_mgr =
       if heal then begin
         if heal_samples = [] then begin
           Format.eprintf
@@ -751,14 +715,6 @@ let serve_cmd =
              drop EXPR, -a, and --load@.";
           exit 2
         end;
-        let load_sample f =
-          let doc = Html_tree.parse (read_file f) in
-          match Pagegen.target_path doc with
-          | Some path -> (doc, path)
-          | None ->
-              Format.eprintf "%s: no data-target element@." f;
-              exit 2
-        in
         let samples = List.map load_sample heal_samples in
         let alpha = Wrapper.alphabet_for (List.map fst samples) in
         match Wrapper.learn ~alpha samples with
@@ -778,41 +734,19 @@ let serve_cmd =
                 save_to = heal_save;
               }
             in
-            let m = Heal.Manager.create ~config ~samples w in
-            (w.Wrapper.alpha, w.Wrapper.matcher, Some m)
+            (w, Some (Heal.Manager.create ~config ~samples w))
       end
       else begin
         if heal_samples <> [] then begin
           Format.eprintf "error: --heal-sample requires --heal@.";
           exit 2
         end;
-        match (load, expr_str) with
-        | Some _, Some _ ->
-            Format.eprintf "error: give either an EXPR or --load, not both@.";
-            exit 2
-        | None, None ->
-            Format.eprintf
-              "error: give an EXPR to serve, or --load a compiled artifact@.";
-            exit 2
-        | Some path, None ->
-            if syms <> None then begin
-              Format.eprintf
-                "error: the alphabet is stored in the artifact; drop -a when \
-                 using --load@.";
-              exit 2
-            end;
-            let a = load_artifact path in
-            Artifact.seed_caches a;
-            (a.Artifact.alpha, Artifact.matcher a, None)
-        | None, Some expr_str -> (
-            match syms with
-            | None ->
-                Format.eprintf
-                  "error: -a/--alphabet is required without --load@.";
-                exit 2
-            | Some syms ->
-                let alpha, e = parse_env syms expr_str in
-                (alpha, Extraction.compile e, None))
+        let _, w =
+          load_wrapper
+            ~missing:"give an EXPR to serve, or --load a compiled artifact"
+            ?syms ?expr:expr_str ?load ()
+        in
+        (Lazy.force w, None)
       end
     in
     let jobs = if jobs <= 0 then Batch.recommended_jobs () else jobs in
@@ -820,8 +754,8 @@ let serve_cmd =
       {
         Serve.sup =
           {
-            Supervisor.matcher;
-            alpha;
+            Supervisor.matcher = w.Wrapper.matcher;
+            alpha = w.Wrapper.alpha;
             jobs;
             max_sessions;
             fuel;
@@ -837,7 +771,7 @@ let serve_cmd =
         print_stats = stats;
       }
     in
-    exit (Serve.run cfg)
+    exit (Serve.run ~abs:w.Wrapper.abs cfg)
   in
   let doc =
     "run a crash-only streaming extraction daemon: newline-delimited JSON \

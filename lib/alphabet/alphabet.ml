@@ -45,12 +45,3 @@ let fresh_name a base =
     loop 0
 
 let equal a b = a.names_arr = b.names_arr
-
-let pp ppf a =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_string)
-    (names a)
-
-let pp_symbol a ppf i = Format.pp_print_string ppf (name a i)

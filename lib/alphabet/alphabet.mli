@@ -39,5 +39,3 @@ val fresh_name : t -> string -> string
     [base]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val pp_symbol : t -> Format.formatter -> int -> unit

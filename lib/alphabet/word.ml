@@ -6,7 +6,6 @@ let to_list = Array.to_list
 let length = Array.length
 let append = Array.append
 let concat = Array.concat
-let cons s w = Array.append [| s |] w
 let snoc w s = Array.append w [| s |]
 let sub = Array.sub
 
@@ -17,11 +16,6 @@ let rev w =
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 let count p w = Array.fold_left (fun n s -> if s = p then n + 1 else n) 0 w
-
-let positions p w =
-  let acc = ref [] in
-  Array.iteri (fun i s -> if s = p then acc := i :: !acc) w;
-  List.rev !acc
 
 let of_names a l = of_list (List.map (Alphabet.find_exn a) l)
 let to_names a w = List.map (Alphabet.name a) (to_list w)

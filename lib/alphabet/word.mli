@@ -11,7 +11,6 @@ val to_list : t -> int list
 val length : t -> int
 val append : t -> t -> t
 val concat : t list -> t
-val cons : int -> t -> t
 val snoc : t -> int -> t
 val sub : t -> int -> int -> t
 val rev : t -> t
@@ -20,9 +19,6 @@ val compare : t -> t -> int
 
 val count : int -> t -> int
 (** [count p w] is the number of occurrences of symbol [p] in [w]. *)
-
-val positions : int -> t -> int list
-(** Indices at which symbol [p] occurs, ascending. *)
 
 val of_names : Alphabet.t -> string list -> t
 val to_names : Alphabet.t -> t -> string list

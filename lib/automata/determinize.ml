@@ -60,6 +60,3 @@ let run (n : Nfa.t) : Dfa.t =
   with e ->
     Obs.Span.fail sp;
     raise e
-
-let state_count_bound (n : Nfa.t) =
-  if n.Nfa.size >= 62 then max_int else 1 lsl n.Nfa.size

@@ -100,7 +100,6 @@ let shortest_accepted (d : Dfa.t) =
       Some (Array.of_list (build t []))
 
 let shortest_rejected d = shortest_accepted (Dfa.complement d)
-let shortest_in_difference a b = shortest_accepted (difference a b)
 
 (* Hashtbl.hash reads only a key's first few words, and a subset of a
    large DFA's states spans many, so every word is mixed in.  A

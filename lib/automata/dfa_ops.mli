@@ -30,9 +30,6 @@ val shortest_accepted : Dfa.t -> int array option
 val shortest_rejected : Dfa.t -> int array option
 (** A shortest word {e not} in the language — a non-universality witness. *)
 
-val shortest_in_difference : Dfa.t -> Dfa.t -> int array option
-(** Shortest word in [L(a) − L(b)]. *)
-
 (** {1 Language operations} *)
 
 val concat : Dfa.t -> Dfa.t -> Dfa.t

@@ -38,33 +38,3 @@ let dfa ?(name = "dfa") alpha (d : Dfa.t) =
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let nfa ?(name = "nfa") alpha (n : Nfa.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=LR;\n" name);
-  Buffer.add_string buf "  __start [shape=point];\n";
-  for q = 0 to n.Nfa.size - 1 do
-    let shape = if n.Nfa.finals.(q) then "doublecircle" else "circle" in
-    Buffer.add_string buf (Printf.sprintf "  q%d [shape=%s];\n" q shape)
-  done;
-  List.iter
-    (fun s -> Buffer.add_string buf (Printf.sprintf "  __start -> q%d;\n" s))
-    n.Nfa.starts;
-  for q = 0 to n.Nfa.size - 1 do
-    Array.iteri
-      (fun a dsts ->
-        List.iter
-          (fun t ->
-            Buffer.add_string buf
-              (Printf.sprintf "  q%d -> q%d [label=\"%s\"];\n" q t
-                 (escape (Alphabet.name alpha a))))
-          dsts)
-      n.Nfa.delta.(q);
-    List.iter
-      (fun t ->
-        Buffer.add_string buf
-          (Printf.sprintf "  q%d -> q%d [label=\"ε\", style=dashed];\n" q t))
-      n.Nfa.eps.(q)
-  done;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

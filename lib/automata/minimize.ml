@@ -1,4 +1,4 @@
-(* Both algorithms assume a complete DFA.  Step 1 restricts to reachable
+(* Hopcroft assumes a complete DFA.  Step 1 restricts to reachable
    states (keeping completeness via Dfa.restrict_states' sink); step 2
    refines the {final, non-final} partition; step 3 quotients and
    canonicalizes. *)
@@ -15,53 +15,6 @@ let quotient (d : Dfa.t) (cls : int array) : Dfa.t =
   let n_cls = 1 + Array.fold_left max (-1) cls in
   let q = Dfa.map_states d cls n_cls in
   Dfa.canonicalize q
-
-(* Moore: iterate "split by (class, successor classes) signature". *)
-let moore d =
-  let d = reachable_part d in
-  let n = d.Dfa.size and k = d.Dfa.alpha_size in
-  let cls = Array.map (fun f -> if f then 1 else 0) d.Dfa.finals in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* Each refinement pass touches every state once. *)
-    Guard.charge ~stage:"minimize" n;
-    let sig_table : (int list, int) Hashtbl.t = Hashtbl.create (2 * n) in
-    let next_cls = Array.make n 0 in
-    let next_id = ref 0 in
-    for q = 0 to n - 1 do
-      let signature =
-        cls.(q)
-        :: List.init k (fun a -> cls.(Dfa.step d q a))
-      in
-      let id =
-        match Hashtbl.find_opt sig_table signature with
-        | Some id -> id
-        | None ->
-            let id = !next_id in
-            incr next_id;
-            Hashtbl.add sig_table signature id;
-            id
-      in
-      next_cls.(q) <- id
-    done;
-    if !next_id > 1 + Array.fold_left max (-1) cls then changed := true;
-    (* Also detect pure relabelings that change nothing: compare the
-       induced partitions via class counts. *)
-    if not !changed then begin
-      (* Same number of classes: check the partition is unchanged. *)
-      let same = ref true in
-      let repr : (int, int) Hashtbl.t = Hashtbl.create n in
-      for q = 0 to n - 1 do
-        match Hashtbl.find_opt repr cls.(q) with
-        | None -> Hashtbl.add repr cls.(q) next_cls.(q)
-        | Some c -> if c <> next_cls.(q) then same := false
-      done;
-      if not !same then changed := true
-    end;
-    Array.blit next_cls 0 cls 0 n
-  done;
-  quotient d cls
 
 (* Hopcroft's partition-refinement algorithm.  Fuel: one unit per block
    and one per (block, symbol) splitter popped, so the charge grows with
@@ -165,8 +118,9 @@ let hopcroft d =
   done;
   quotient d block_of
 
-(* The production entry point is spanned; [moore] and [hopcroft] stay
-   bare so the differential tests comparing them time only one side. *)
+(* The production entry point is spanned; [hopcroft] stays bare so the
+   differential tests comparing it with Moore's reference time only one
+   side. *)
 let minimize d =
   let sp = Obs.Span.enter Obs.Span.Minimize in
   try

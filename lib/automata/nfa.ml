@@ -219,34 +219,3 @@ let eps_closure t set =
         loop ()
   in
   loop ()
-
-let accepts t w =
-  let cur = Bitvec.of_list t.size t.starts in
-  eps_closure t cur;
-  let cur = ref cur in
-  Array.iter
-    (fun a ->
-      let next = Bitvec.create t.size in
-      Bitvec.iter
-        (fun q -> List.iter (Bitvec.set next) t.delta.(q).(a))
-        !cur;
-      eps_closure t next;
-      cur := next)
-    w;
-  Bitvec.exists (fun q -> t.finals.(q)) !cur
-
-let pp ppf t =
-  let open Format in
-  fprintf ppf "@[<v>nfa: %d states, starts=%a@," t.size
-    (pp_print_list ~pp_sep:pp_print_space pp_print_int)
-    t.starts;
-  for q = 0 to t.size - 1 do
-    fprintf ppf "  %d%s:" q (if t.finals.(q) then "*" else "");
-    Array.iteri
-      (fun a dsts ->
-        List.iter (fun d -> fprintf ppf " %d->%d" a d) dsts)
-      t.delta.(q);
-    List.iter (fun d -> fprintf ppf " ε->%d" d) t.eps.(q);
-    fprintf ppf "@,"
-  done;
-  fprintf ppf "@]"

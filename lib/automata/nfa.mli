@@ -42,8 +42,3 @@ val with_starts : t -> int list -> t
 
 val eps_closure : t -> Bitvec.t -> unit
 (** Saturate the given state set under ε-transitions, in place. *)
-
-val accepts : t -> int array -> bool
-(** Membership by on-the-fly subset simulation. *)
-
-val pp : Format.formatter -> t -> unit

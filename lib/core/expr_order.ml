@@ -9,8 +9,6 @@ let preceq f e =
   Lang.subset (Extraction.left_lang f) (Extraction.left_lang e)
   && Lang.subset (Extraction.right_lang f) (Extraction.right_lang e)
 
-let generalizes e f = preceq f e
-
 let equivalent f e =
   check f e;
   Lang.equal (Extraction.left_lang f) (Extraction.left_lang e)

@@ -10,9 +10,6 @@ val preceq : Extraction.t -> Extraction.t -> bool
 (** [preceq f e] ⇔ [f ≼ e].  @raise Invalid_argument if the expressions
     are over different alphabets or have different marked symbols. *)
 
-val generalizes : Extraction.t -> Extraction.t -> bool
-(** [generalizes e f] ⇔ [f ≼ e]. *)
-
 val equivalent : Extraction.t -> Extraction.t -> bool
 (** Both components equal as languages ([≼] in both directions). *)
 

@@ -111,20 +111,20 @@ let compress expr ~left_dfa ~right_rev_dfa =
     c_right_rev = Dfa.shrink c right_rev_dfa;
   }
 
+(* The right side runs as the DFA of its reversed language: read
+   right-to-left over a suffix, it decides suffix ∈ L(E2). *)
 type matcher = {
   expr : t;
-  left_dfa : Dfa.t;
-  (* DFA of the reversed right language: running it over the suffix read
-     right-to-left decides suffix ∈ L(E2). *)
-  right_rev_dfa : Dfa.t;
   comp : compressed;
   online : bool; (* right side is Σ*: decided once, here *)
 }
 
 let assemble expr ~left_dfa ~right_rev_dfa =
-  let comp = compress expr ~left_dfa ~right_rev_dfa in
-  let online = Dfa_ops.is_universal right_rev_dfa in
-  { expr; left_dfa; right_rev_dfa; comp; online }
+  {
+    expr;
+    comp = compress expr ~left_dfa ~right_rev_dfa;
+    online = Dfa_ops.is_universal right_rev_dfa;
+  }
 
 let compile expr =
   let left_dfa = Lang.dfa (left_lang expr) in
@@ -188,7 +188,7 @@ let bit_read b i =
    Soundness: symbols of one class have identical columns in both DFAs,
    so the state trajectories — and hence the split set — equal the
    symbol-space run's (the front oracle layer checks this against
-   matcher_splits_fresh).  Symbols are bound-checked in the backward
+   Oracle_ref.matcher_splits_fresh).  Symbols are bound-checked in the backward
    pass (the only unvalidated input); class ids are then in range by
    construction, so every unsafe access below is licensed — see
    Dfa.unsafe_step. *)
@@ -216,29 +216,6 @@ let matcher_splits m w =
        && bit_read suffix_ok (i + 1)
     then acc := i :: !acc;
     lstate := Dfa.unsafe_step ld !lstate a
-  done;
-  List.rev !acc
-
-(* Allocating reference for the fast path: same two sweeps, but a fresh
-   Bitvec per call and only safe accesses.  The sched oracle layer
-   checks matcher_splits ≡ matcher_splits_fresh ≡ splits. *)
-let matcher_splits_fresh m w =
-  let n = Array.length w in
-  let mark = m.expr.mark in
-  let rd = m.right_rev_dfa and ld = m.left_dfa in
-  let suffix_ok = Bitvec.create (n + 1) in
-  let state = ref rd.Dfa.start in
-  if rd.Dfa.finals.(!state) then Bitvec.set suffix_ok n;
-  for i = n - 1 downto 0 do
-    state := Dfa.step rd !state w.(i);
-    if rd.Dfa.finals.(!state) then Bitvec.set suffix_ok i
-  done;
-  let acc = ref [] in
-  let lstate = ref ld.Dfa.start in
-  for i = 0 to n - 1 do
-    if w.(i) = mark && ld.Dfa.finals.(!lstate) && Bitvec.mem suffix_ok (i + 1)
-    then acc := i :: !acc;
-    lstate := Dfa.step ld !lstate w.(i)
   done;
   List.rev !acc
 
@@ -309,22 +286,6 @@ let splits t w =
       w.(i) = t.mark
       && Lang.mem l (Array.sub w 0 i)
       && Lang.mem r (Array.sub w (i + 1) (n - i - 1))
-    then ok := i :: !ok
-  done;
-  !ok
-
-(* Same specification as [splits], but membership is decided by
-   iterated Brzozowski derivatives on the syntax — no automata are
-   built, so this path shares nothing with the DFA pipeline and serves
-   as its differential reference (lib/oracle). *)
-let splits_deriv t w =
-  let n = Array.length w in
-  let ok = ref [] in
-  for i = n - 1 downto 0 do
-    if
-      w.(i) = t.mark
-      && Regex.matches t.left (Array.sub w 0 i)
-      && Regex.matches t.right (Array.sub w (i + 1) (n - i - 1))
     then ok := i :: !ok
   done;
   !ok

@@ -44,12 +44,6 @@ val splits : t -> Word.t -> int list
     [w(i..] ∈ L(E2)] — the candidate extractions, ascending.  Uses a
     brute per-position check; see {!compile} for the linear-time path. *)
 
-val splits_deriv : t -> Word.t -> int list
-(** Same positions as {!splits}, computed by iterated Brzozowski
-    derivatives ({!Regex.matches}) instead of compiled automata.  Slow;
-    exists as an independent reference implementation for the
-    differential oracles (lib/oracle). *)
-
 val extract : t -> Word.t -> [ `Unique of int | `Ambiguous of int list | `No_match ]
 
 (** {1 Compiled matchers} *)
@@ -57,7 +51,9 @@ val extract : t -> Word.t -> [ `Unique of int | `Ambiguous of int list | `No_mat
 type matcher
 (** Pre-compiled form: the left language's DFA is run forward and the
     reversed right language's DFA backward, so all split positions of a
-    word of length n are found in O(n) transitions.  A matcher is
+    word of length n are found in O(n) transitions.  Both run in class
+    space: a matcher keeps only the tables of {!matcher_compressed}.  A
+    matcher is
     immutable once {!compile} returns (frozen before any parallel
     fan-out), so one matcher may be shared freely across the [Batch]
     pool's domains. *)
@@ -117,12 +113,6 @@ val matcher_splits : matcher -> Word.t -> int list
     in per-domain scratch reused across calls (grown geometrically), so
     no per-word heap allocation happens beyond the result list.
     @raise Invalid_argument on a symbol outside the alphabet. *)
-
-val matcher_splits_fresh : matcher -> Word.t -> int list
-(** Same answers as {!matcher_splits}, but allocates a fresh bitset per
-    call and uses only bounds-checked accesses — the reference
-    implementation the sched oracle layer compares the scratch path
-    against. *)
 
 val matcher_extract :
   matcher -> Word.t -> [ `Unique of int | `Ambiguous of int list | `No_match ]

@@ -67,18 +67,7 @@ let pp ppf t =
   in
   go ppf (t.segments, t.marks)
 
-let to_string t = Format.asprintf "%a" pp t
 let arity t = List.length t.marks
-
-let language t =
-  let rec weave segs marks =
-    match (segs, marks) with
-    | [ e ], [] -> [ Lang.of_regex t.alpha e ]
-    | e :: segs, p :: marks ->
-        Lang.of_regex t.alpha e :: Lang.sym t.alpha p :: weave segs marks
-    | _ -> assert false
-  in
-  Lang.concat_list t.alpha (weave t.segments t.marks)
 
 let coordinate_expression t j =
   let k = arity t in

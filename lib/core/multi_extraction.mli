@@ -34,13 +34,8 @@ val parse : Alphabet.t -> string -> t
     @raise Regex_parse.Parse_error if no marker is present. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-
 val arity : t -> int
 (** Number of marks, ≥ 1. *)
-
-val language : t -> Lang.t
-(** [L(E0·p1·E1 ⋯ pk·Ek)]. *)
 
 val coordinate_expression : t -> int -> Extraction.t
 (** 0-based coordinate; see module documentation. *)

@@ -116,10 +116,6 @@ let escalation_steps ~fuel ~retries =
   in
   go fuel retries []
 
-let outcome_map f = function
-  | Decided v -> Decided (f v)
-  | Unknown r -> Unknown r
-
 let outcome_equal eq a b =
   match (a, b) with
   | Decided x, Decided y -> eq x y

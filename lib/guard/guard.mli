@@ -105,5 +105,4 @@ val escalation_steps : fuel:int -> retries:int -> int list
 (** The doubling ladder the CLI uses: [retries + 1] attempts starting
     at [fuel], each doubling the previous (saturating at [max_int]). *)
 
-val outcome_map : ('a -> 'b) -> 'a outcome -> 'b outcome
 val outcome_equal : ('a -> 'a -> bool) -> 'a outcome -> 'a outcome -> bool

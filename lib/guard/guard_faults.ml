@@ -40,8 +40,6 @@ let disarm () =
   Array.iter (fun c -> Atomic.set c 0) counters;
   enabled_flag := false
 
-let enabled () = !enabled_flag
-
 let point site =
   if !enabled_flag then begin
     let i = site_id site in

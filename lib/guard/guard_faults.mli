@@ -36,9 +36,6 @@ val arm : site -> at:int list -> unit
 val disarm : unit -> unit
 (** Disarm every site and reset all counters. *)
 
-val enabled : unit -> bool
-(** Whether any site is currently armed. *)
-
 val point : site -> unit
 (** Counter probe: count a hit of [site] and raise {!Injected} if armed
     to fire at that count.  No-op (one load) when nothing is armed. *)

@@ -294,7 +294,14 @@ module Manager = struct
     samples : (Html_tree.doc * Html_tree.path) list;
     detector : Detector.t;
     quarantine : Quarantine.t;
-    gen : Wrapper.Gen.gen;
+    mutable current : Wrapper.t;
+    mutable generation : int;
+        (* the current wrapper and its generation ordinal.  Written
+           only by [maybe_heal] and read only through [wrapper] and
+           [generation]; the serve supervisor makes every one of these
+           calls on its own domain (pass 1 admission and the heal block
+           after pass 2), never from the pool's workers, so plain
+           mutable fields need no synchronization. *)
   }
 
   let create ?(config = default_config) ~samples w =
@@ -309,11 +316,12 @@ module Manager = struct
       quarantine =
         Quarantine.create ~capacity:config.quarantine_capacity
           ~max_page_bytes:config.max_page_bytes ();
-      gen = Wrapper.Gen.make w;
+      current = w;
+      generation = 0;
     }
 
-  let wrapper t = Wrapper.Gen.wrapper t.gen
-  let generation t = Wrapper.Gen.generation t.gen
+  let wrapper t = t.current
+  let generation t = t.generation
   let config t = t.cfg
 
   let observe t ~ok ~page =
@@ -342,7 +350,7 @@ module Manager = struct
       Atomic.incr trips_c;
       let sp = Obs.Span.enter Obs.Span.Heal in
       let t0 = Obs.now_ns () in
-      let abs = (wrapper t).Wrapper.abs in
+      let abs = t.current.Wrapper.abs in
       let result =
         (* the re-synthesis is the one unbounded-cost step of the loop
            (maximization is PSPACE-hard, Thm 5.12): meter it so a heal
@@ -367,7 +375,9 @@ module Manager = struct
           Atomic.incr heal_failures_c;
           Heal_failed msg
       | Ok r ->
-          let generation = Wrapper.Gen.swap t.gen r.r_wrapper in
+          let generation = t.generation + 1 in
+          t.current <- r.r_wrapper;
+          t.generation <- generation;
           Quarantine.clear t.quarantine;
           Atomic.incr healed_c;
           record_max generation_c generation;

@@ -19,8 +19,8 @@
       [data-target] mark when present, else via the Kushmerick LR
       locator learned from the original samples (the old wrapper
       partially matching is exactly when LR delimiters still anchor);
-    + an {b atomic hot-swap} of the compiled wrapper generation
-      ({!Wrapper.Gen}) under a {!Guard} budget, so a PSPACE-hard
+    + a {b hot-swap} of the current wrapper generation after a
+      re-synthesis run under a {!Guard} budget, so a PSPACE-hard
       maximization (Thm 5.12) can never stall serving: an exhausted
       re-synthesis is a failed heal, not a hung daemon.
 
@@ -149,10 +149,11 @@ val default_config : config
     [save_to = None]. *)
 
 module Manager : sig
-  (** One healing loop: detector + quarantine + the generation cell
-      the current wrapper is published through.  All entry points are
-      called from one domain (the serve supervisor's sequential
-      passes); only the generation cell is shared across domains. *)
+  (** One healing loop: detector + quarantine + the current wrapper
+      and its generation ordinal.  Not thread-safe: every entry point
+      is called from one domain (the serve supervisor's sequential
+      passes), and sessions copy the matcher they were admitted with,
+      so nothing here is shared with the pool's workers. *)
 
   type t
 
@@ -165,9 +166,12 @@ module Manager : sig
       is out of range. *)
 
   val wrapper : t -> Wrapper.t
-  (** The current generation's wrapper (atomic snapshot). *)
+  (** The current generation's wrapper. *)
 
   val generation : t -> int
+  (** 0 for the wrapper given to {!create}; each successful heal adds
+      one. *)
+
   val config : t -> config
 
   val observe : t -> ok:bool -> page:string option -> unit
@@ -181,9 +185,10 @@ module Manager : sig
 
   val maybe_heal : t -> outcome
   (** If the detector has tripped: re-synthesize under the configured
-      {!Guard} budget (inside an {!Obs.Span.Heal} span), publish the
-      new generation via {!Wrapper.Gen.swap}, re-save the artifact when
-      configured, clear the quarantine, and reset the detector.  A
+      {!Guard} budget (inside an {!Obs.Span.Heal} span), make the
+      result the current wrapper at the next generation, re-save the
+      artifact when configured, clear the quarantine, and reset the
+      detector.  A
       failed or budget-exhausted re-synthesis answers [Heal_failed]
       (and still resets the detector, so the daemon does not spin on an
       unhealable site — fresh evidence must accumulate before the next

@@ -58,10 +58,3 @@ let of_string s =
         in
         collect [] specs
     | _ -> Error ("unknown abstraction: " ^ s)
-
-let pp ppf = function
-  | Tags -> Format.pp_print_string ppf "tags"
-  | Tags_with_attrs specs ->
-      Format.fprintf ppf "tags+attrs(%s)"
-        (String.concat ","
-           (List.map (fun (el, at) -> el ^ "." ^ at) specs))

@@ -30,5 +30,3 @@ val to_string : t -> string
     inverts it). *)
 
 val of_string : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

@@ -107,13 +107,11 @@ let dummy =
 
 type table = {
   t_alpha : Alphabet.t;
-  t_abs : Abstraction.t;
   t_slots : entry array;  (* open addressing; [dummy] marks empty *)
   t_mask : int;
 }
 
 let alphabet t = t.t_alpha
-let abstraction t = t.t_abs
 
 (* FNV-1a over upper-folded bytes; table keys are already uppercase so
    hashing a key string and hashing a slice that folds to it agree. *)
@@ -249,7 +247,7 @@ let build ?(abs = Abstraction.Tags) alpha =
     protos;
   Atomic.incr tables_built;
   ignore (Atomic.fetch_and_add entries_total count);
-  { t_alpha = alpha; t_abs = abs; t_slots = slots; t_mask = mask }
+  { t_alpha = alpha; t_slots = slots; t_mask = mask }
 
 (* --- the engine --- *)
 

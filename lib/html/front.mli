@@ -39,7 +39,6 @@ val build : ?abs:Abstraction.t -> Alphabet.t -> table
     stray [=] forms under [Tags]) are unreachable and get no entry. *)
 
 val alphabet : table -> Alphabet.t
-val abstraction : table -> Abstraction.t
 
 val word : table -> string -> Word.t
 (** The full symbol sequence of a page — the fused equivalent of

@@ -10,7 +10,6 @@ let is_name_char c =
   || (c >= '0' && c <= '9')
   || c = '-' || c = '_' || c = ':'
 
-
 (* Decode the basic character entities; unknown entities pass through
    verbatim.  Together with escaping on output this makes
    serialize ∘ parse a fixpoint on text and attribute values. *)
@@ -228,11 +227,3 @@ let tokenize (s : string) : Html_token.t list =
        | Html_token.Start_tag _ | Html_token.End_tag _ | Html_token.Comment _
        | Html_token.Doctype _ ->
            true)
-
-let tags_only toks =
-  List.filter
-    (function
-      | Html_token.Start_tag _ | Html_token.End_tag _ -> true
-      | Html_token.Text _ | Html_token.Comment _ | Html_token.Doctype _ ->
-          false)
-    toks

@@ -10,10 +10,6 @@
 
 val tokenize : string -> Html_token.t list
 
-val tags_only : Html_token.t list -> Html_token.t list
-(** Drop text, comments, and doctype — the paper's abstraction keeps
-    only the tag skeleton. *)
-
 val decode_entities : string -> string
 (** Resolve character references ([&lt;] [&gt;] [&amp;] [&quot;]
     [&apos;] and numeric [&#n;] for printable ASCII); anything

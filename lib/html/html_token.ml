@@ -7,11 +7,6 @@ type t =
   | Comment of string
   | Doctype of string
 
-let tag_name = function
-  | Start_tag { name; _ } -> Some name
-  | End_tag name -> Some name
-  | Text _ | Comment _ | Doctype _ -> None
-
 let attr tok name =
   match tok with
   | Start_tag { attrs; _ } -> (

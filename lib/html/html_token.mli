@@ -12,9 +12,6 @@ type t =
   | Comment of string
   | Doctype of string
 
-val tag_name : t -> string option
-(** The tag name of a start/end tag, [None] for other tokens. *)
-
 val attr : t -> string -> string option option
 (** [attr tok name] — [None] if not a start tag or attribute absent;
     [Some v] gives the (optional) attribute value. *)

@@ -136,8 +136,6 @@ let word alpha w =
 let of_words alpha ws =
   List.fold_left (fun acc w -> union acc (word alpha w)) (empty alpha) ws
 
-let union_list alpha ls = List.fold_left union (empty alpha) ls
-
 let concat_list alpha ls = List.fold_left concat (epsilon alpha) ls
 
 let suffix_quotient =
@@ -179,54 +177,6 @@ let nullable a = a.dfa.Dfa.finals.(a.dfa.Dfa.start)
 let shortest a = Dfa_ops.shortest_accepted a.dfa
 let shortest_not_in a = Dfa_ops.shortest_rejected a.dfa
 
-let shortest_in_diff a b =
-  check_compat a b;
-  Dfa_ops.shortest_in_difference a.dfa b.dfa
-
-let words_upto a n =
-  List.of_seq (Seq.filter (mem a) (Word.enumerate a.alpha n))
-
 let to_regex a = State_elim.to_regex a.dfa
 let to_string a = Regex.to_string a.alpha (to_regex a)
 let pp ppf a = Regex.pp a.alpha ppf (to_regex a)
-
-let sample a rng ~max_len =
-  let d = a.dfa in
-  let live = Dfa.live d in
-  if not (Bitvec.mem live d.Dfa.start) then None
-  else begin
-    (* precompute, per live state, the symbols that stay live *)
-    let k = d.Dfa.alpha_size in
-    let choices q =
-      List.filter
-        (fun s -> Bitvec.mem live (Dfa.step d q s))
-        (List.init k Fun.id)
-    in
-    let rec walk q acc len =
-      let stop_ok = d.Dfa.finals.(q) in
-      if len >= max_len then if stop_ok then Some (List.rev acc) else None
-      else if stop_ok && Random.State.int rng (max_len - len + 1) = 0 then
-        Some (List.rev acc)
-      else
-        match choices q with
-        | [] -> if stop_ok then Some (List.rev acc) else None
-        | cs ->
-            let s = List.nth cs (Random.State.int rng (List.length cs)) in
-            walk (Dfa.step d q s) (s :: acc) (len + 1)
-    in
-    (* retry a few times: a walk can strand in a live loop with no final
-       reachable within budget *)
-    let rec attempt n =
-      if n = 0 then
-        (* fall back to the shortest word — unless even it exceeds the
-           caller's budget, in which case honor the length contract *)
-        match shortest a with
-        | Some w when Array.length w <= max_len -> Some w
-        | Some _ | None -> None
-      else
-        match walk d.Dfa.start [] 0 with
-        | Some l -> Some (Word.of_list l)
-        | None -> attempt (n - 1)
-    in
-    attempt 8
-  end

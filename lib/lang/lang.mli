@@ -53,7 +53,6 @@ val concat : t -> t -> t
 val star : t -> t
 val complement : t -> t
 val reverse : t -> t
-val union_list : Alphabet.t -> t list -> t
 val concat_list : Alphabet.t -> t list -> t
 
 (** {1 The paper's operators} *)
@@ -78,21 +77,10 @@ val equal : t -> t -> bool
 val mem : t -> int array -> bool
 val nullable : t -> bool
 
-(** {1 Witnesses and enumeration} *)
+(** {1 Witnesses} *)
 
 val shortest : t -> int array option
 val shortest_not_in : t -> int array option
-val shortest_in_diff : t -> t -> int array option
-val words_upto : t -> int -> int array list
-(** All members of length ≤ n (test oracle; exponential). *)
-
-val sample : t -> Random.State.t -> max_len:int -> int array option
-(** A random member of length ≤ [max_len], or [None] if there is none:
-    a uniform-ish random walk over live states that stops at a final
-    state with probability proportional to remaining budget, falling
-    back to {!shortest} when every walk strands (never exceeding
-    [max_len]).  Used by the tests and the oracle campaign to generate
-    members of synthesized languages. *)
 
 (** {1 Rendering} *)
 

@@ -25,37 +25,23 @@ let stage_id = function
 
 let stage_counters = Array.init 4 (fun _ -> Obs.Counter2.make ())
 
-(* The LRU is sharded by key hash: a key always lands in the same
-   shard, so sharding is invisible to callers — it only splits the one
-   global lock into [shard_count] independent ones.  Correctness is
-   untouched because every cached function is a pure function of its
-   key: which shard (or whether eviction timing differs between shard
-   layouts) can only change what gets recomputed, never what a lookup
-   answers. *)
-let shard_bits = 4
-let shard_count = 1 lsl shard_bits
-
-type shard = { m : Mutex.t; lru : (key, Dfa.t) Lru.t }
-
+(* The LRU is sharded by key hash (Lru): sharding only splits the one
+   global lock into independent ones.  Correctness is untouched because
+   every cached function is a pure function of its key: eviction timing
+   can only change what gets recomputed, never what a lookup answers. *)
 let default_capacity = 4096
 
-(* capacity as configured by the caller; shards each hold a ceiling
-   share so the total stays >= the configured bound *)
+(* capacity as configured by the caller; the shards each hold a
+   ceiling share, so the total stays >= the configured bound *)
 let configured_capacity = Atomic.make default_capacity
-let shard_cap total = max 1 ((total + shard_count - 1) / shard_count)
-
-let shards =
-  Array.init shard_count (fun _ ->
-      { m = Mutex.create (); lru = Lru.create ~cap:(shard_cap default_capacity) })
-
+let lru : (key, Dfa.t) Lru.t = Lru.create ~cap:default_capacity
 let enabled_flag = Atomic.make true
 
 (* Per-shard traffic, same packed representation: [shard_counts] is
    one load per shard, and each pair is consistent on its own, so the
    shard total always reconciles with the per-stage totals once the
    cache quiesces. *)
-let shard_counters = Array.init shard_count (fun _ -> Obs.Counter2.make ())
-let shard_ix key = Hashtbl.hash key land (shard_count - 1)
+let shard_counters = Array.init Lru.shard_count (fun _ -> Obs.Counter2.make ())
 
 let cached stage key compute =
   (* Fault-injection probe (tests only): an armed Cache_lookup site can
@@ -64,9 +50,8 @@ let cached stage key compute =
   Guard_faults.point Guard_faults.Cache_lookup;
   if not (Atomic.get enabled_flag) then compute ()
   else
-    let ix = shard_ix key in
-    let s = shards.(ix) in
-    match Mutex.protect s.m (fun () -> Lru.find s.lru key) with
+    let ix = Lru.shard_of key in
+    match Lru.find lru key with
     | Some v ->
         Obs.Counter2.hit stage_counters.(stage_id stage);
         Obs.Counter2.hit shard_counters.(ix);
@@ -83,7 +68,7 @@ let cached stage key compute =
             raise e
         in
         Obs.Span.exit sp;
-        Mutex.protect s.m (fun () -> Lru.add s.lru key v);
+        Lru.add lru key v;
         v
 
 let seed key v =
@@ -91,17 +76,11 @@ let seed key v =
      seeding is not a lookup, so warm-start statistics stay honest —
      the first client lookup of a seeded key counts as the hit it is.
      A no-op with the cache disabled (nothing would ever read it). *)
-  if Atomic.get enabled_flag then begin
-    let s = shards.(shard_ix key) in
-    Mutex.protect s.m (fun () -> Lru.add s.lru key v)
-  end
+  if Atomic.get enabled_flag then Lru.add lru key v
 
 let set_capacity n =
   Atomic.set configured_capacity n;
-  let per_shard = shard_cap n in
-  Array.iter
-    (fun s -> Mutex.protect s.m (fun () -> Lru.set_capacity s.lru per_shard))
-    shards
+  Lru.set_capacity lru n
 
 let capacity () = Atomic.get configured_capacity
 let set_enabled b = Atomic.set enabled_flag b
@@ -111,6 +90,6 @@ let counts stage = Obs.Counter2.read stage_counters.(stage_id stage)
 let shard_counts () = Array.map Obs.Counter2.read shard_counters
 
 let clear () =
-  Array.iter (fun s -> Mutex.protect s.m (fun () -> Lru.clear s.lru)) shards;
+  Lru.clear lru;
   Array.iter Obs.Counter2.reset stage_counters;
   Array.iter Obs.Counter2.reset shard_counters

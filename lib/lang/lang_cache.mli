@@ -66,9 +66,10 @@ val set_capacity : int -> unit
 val capacity : unit -> int
 
 val set_enabled : bool -> unit
-(** [set_enabled false] makes {!cached} compute unconditionally — used
-    by the differential oracles to compare cached against direct
-    answers, and available as a kill switch. *)
+(** [set_enabled false] makes {!cached} compute unconditionally, and
+    {!Runtime}'s verdict cache with it — used by the differential
+    oracles to compare cached against direct answers, and available as
+    a kill switch. *)
 
 val enabled : unit -> bool
 

@@ -11,20 +11,20 @@ let tests ~count =
         match Ambiguity.witness e with
         | Some w ->
             Ambiguity.is_ambiguous e
-            && List.length (Extraction.splits_deriv e w) >= 2
+            && List.length (Oracle_ref.splits_deriv e w) >= 2
         | None -> Ambiguity.is_unambiguous e);
     QCheck.Test.make ~count ~name:"unambiguous ⇒ ≤ 1 split on all short words"
       (Oracle_gen.arb_extraction_case ())
       (fun e ->
         (not (Ambiguity.is_unambiguous e))
         || Seq.for_all
-             (fun w -> List.length (Extraction.splits_deriv e w) <= 1)
+             (fun w -> List.length (Oracle_ref.splits_deriv e w) <= 1)
              (Word.enumerate e.Extraction.alpha (enum_bound e.Extraction.alpha)));
     QCheck.Test.make ~count ~name:"splits: brute = compiled matcher = derivatives"
       (Oracle_gen.arb_extraction_word_case ())
       (fun (e, w) ->
         let brute = Extraction.splits e w in
         let compiled = Extraction.matcher_splits (Extraction.compile e) w in
-        let deriv = Extraction.splits_deriv e w in
+        let deriv = Oracle_ref.splits_deriv e w in
         brute = compiled && compiled = deriv);
   ]

@@ -9,7 +9,7 @@
       ({!Ambiguity.is_ambiguous_marker});
     - brute force — count parse splits of every short word with the
       automata-free derivative matcher
-      ({!Extraction.splits_deriv}).
+      ({!Oracle_ref.splits_deriv}).
 
     The brute-force direction is one-sided (it can only {e refute} a
     claimed unambiguity within the length bound), so the witness of

@@ -25,8 +25,8 @@ let page_of_seed seed =
 
 (* Both paths over the same bytes; the tree path re-parses the
    serialized string so the comparison is bytes-in, answer-out. *)
-let both_paths cw html =
-  (Wrapper.extract_raw cw html, Wrapper.extract_compiled cw (Html_tree.parse html))
+let both_paths w cw html =
+  (Wrapper.extract_raw cw html, Wrapper.extract w (Html_tree.parse html))
 
 (* Front.word and Tag_seq.of_doc as total functions into a comparable
    sum, so "same exception" is part of the identity. *)
@@ -68,7 +68,7 @@ let tests ~count =
       (fun seed ->
         let w, cw = Lazy.force the_wrapper in
         let html = Html_tree.to_string (page_of_seed seed) in
-        let fused, tree = both_paths cw html in
+        let fused, tree = both_paths w cw html in
         let tbl = Front.build ~abs:w.Wrapper.abs w.Wrapper.alpha in
         fused = tree
         && word_fused tbl html
@@ -120,7 +120,7 @@ let tests ~count =
         let rng = Random.State.make [| 0xbadd; seed |] in
         let doc = Perturb.perturb rng ~intensity (page_of_seed seed) in
         let html = Html_tree.to_string doc in
-        let fused, tree = both_paths cw html in
+        let fused, tree = both_paths w cw html in
         let tbl = Front.build ~abs:w.Wrapper.abs w.Wrapper.alpha in
         let whole = word_fused tbl html in
         let cut = String.length html / 2 in
@@ -138,6 +138,7 @@ let tests ~count =
       (QCheck.pair (Oracle_gen.arb_extraction_word_case ()) arb_seed)
       (fun ((e, w), seed) ->
         let m = Extraction.compile e in
+        let fresh = Oracle_ref.matcher_splits_fresh m in
         let comp = Extraction.matcher_compressed m in
         let n = Alphabet.size e.Extraction.alpha in
         let mark = e.Extraction.mark in
@@ -156,7 +157,7 @@ let tests ~count =
                   (comp.Extraction.class_of.(a) = comp.Extraction.c_mark)
                   = (a = mark)))
         (* the class-space run answers the symbol-space positions *)
-        && Extraction.matcher_splits m w = Extraction.matcher_splits_fresh m w
+        && Extraction.matcher_splits m w = fresh w
         (* behavioral soundness: swapping each symbol for a random
            same-class representative never changes a symbol-space
            split *)
@@ -170,8 +171,7 @@ let tests ~count =
           let peers = reps.(comp.Extraction.class_of.(a)) in
           List.nth peers (Random.State.int rng (List.length peers))
         in
-        Extraction.matcher_splits_fresh m (Array.map swap w)
-        = Extraction.matcher_splits_fresh m w);
+        fresh (Array.map swap w) = fresh w);
     QCheck.Test.make ~count
       ~name:"front: unknown-symbol errors are identical" arb_seed
       (fun seed ->
@@ -185,7 +185,7 @@ let tests ~count =
           String.sub html 0 cut ^ "<blink>"
           ^ String.sub html cut (String.length html - cut)
         in
-        let fused, tree = both_paths cw html' in
+        let fused, tree = both_paths w cw html' in
         let tbl = Front.build ~abs:w.Wrapper.abs w.Wrapper.alpha in
         fused = tree
         && word_fused tbl html'

@@ -93,6 +93,51 @@ let arb_word alpha max_len =
     ~print:(Word.to_string alpha)
     ~shrink:shrink_word (gen_word alpha max_len)
 
+(* --- members of a language --- *)
+
+let sample l rng ~max_len =
+  let d = Lang.dfa l in
+  let live = Dfa.live d in
+  if not (Bitvec.mem live d.Dfa.start) then None
+  else begin
+    (* the symbols that keep a walk from [q] live *)
+    let choices q =
+      List.filter
+        (fun s -> Bitvec.mem live (Dfa.step d q s))
+        (List.init d.Dfa.alpha_size Fun.id)
+    in
+    let rec walk q acc len =
+      let stop_ok = d.Dfa.finals.(q) in
+      if len >= max_len then if stop_ok then Some (List.rev acc) else None
+      else if stop_ok && Random.State.int rng (max_len - len + 1) = 0 then
+        Some (List.rev acc)
+      else
+        match choices q with
+        | [] -> if stop_ok then Some (List.rev acc) else None
+        | cs ->
+            let s = List.nth cs (Random.State.int rng (List.length cs)) in
+            walk (Dfa.step d q s) (s :: acc) (len + 1)
+    in
+    (* retry a few times: a walk can strand in a live loop with no final
+       reachable within budget *)
+    let rec attempt n =
+      if n = 0 then
+        (* fall back to the shortest word — unless even it exceeds the
+           caller's budget, in which case honor the length contract *)
+        match Lang.shortest l with
+        | Some w when Array.length w <= max_len -> Some w
+        | Some _ | None -> None
+      else
+        match walk d.Dfa.start [] 0 with
+        | Some l -> Some (Word.of_list l)
+        | None -> attempt (n - 1)
+    in
+    attempt 8
+  end
+
+let words_upto l n =
+  List.of_seq (Seq.filter (Lang.mem l) (Word.enumerate (Lang.alphabet l) n))
+
 (* --- random-alphabet cases --- *)
 
 let pp_alpha alpha = "Σ={" ^ String.concat "," (Alphabet.names alpha) ^ "}"

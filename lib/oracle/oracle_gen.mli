@@ -42,6 +42,18 @@ val arb_plain_regex : Alphabet.t -> Regex.t QCheck.arbitrary
 val arb_ext_regex : Alphabet.t -> Regex.t QCheck.arbitrary
 val arb_word : Alphabet.t -> int -> Word.t QCheck.arbitrary
 
+(** {1 Members of a language} *)
+
+val sample : Lang.t -> Random.State.t -> max_len:int -> Word.t option
+(** A random member of length ≤ [max_len], or [None] if there is none:
+    a uniform-ish random walk over live states that stops at a final
+    state with probability proportional to remaining budget, falling
+    back to {!Lang.shortest} when every walk strands (never exceeding
+    [max_len]).  Generates members of synthesized languages. *)
+
+val words_upto : Lang.t -> int -> Word.t list
+(** All members of length ≤ n, by enumeration (exponential). *)
+
 (** {1 Random-alphabet cases}
 
     Each case bundles its own freshly generated alphabet with the

@@ -5,8 +5,8 @@
    Unknown), the caches are reset and left on. *)
 
 let uncached f =
-  Runtime.set_enabled false;
-  Fun.protect ~finally:(fun () -> Runtime.set_enabled true) f
+  Lang_cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Lang_cache.set_enabled true) f
 
 let with_faults site ~at f =
   Guard_faults.arm site ~at;

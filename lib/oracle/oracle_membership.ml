@@ -20,7 +20,7 @@ let tests ~count =
       (fun ((alpha, re), seed) ->
         let l = Lang.of_regex alpha re in
         let rng = Random.State.make [| seed |] in
-        match Lang.sample l rng ~max_len:10 with
+        match Oracle_gen.sample l rng ~max_len:10 with
         | Some w -> Array.length w <= 10 && Lang.mem l w && Regex.matches re w
         | None -> (
             Lang.is_empty l

@@ -5,7 +5,7 @@
     compiled minimal-DFA pipeline ({!Lang.mem}, via Thompson/subset
     construction or the boolean algebra on DFAs).  They share no code
     below the AST, so agreement on random and exhaustively enumerated
-    inputs is strong evidence both are right.  {!Lang.sample} — the
+    inputs is strong evidence both are right.  {!Oracle_gen.sample} — the
     primitive every other oracle uses to produce members — is audited
     here too. *)
 

@@ -14,8 +14,8 @@ let with_obs b f =
 (* Fuel-accounting properties must not be answered by a warm verdict
    cache (a hit decides for free and the comparison turns vacuous). *)
 let uncached f =
-  Runtime.set_enabled false;
-  Fun.protect ~finally:(fun () -> Runtime.set_enabled true) f
+  Lang_cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Lang_cache.set_enabled true) f
 
 let job_counts = [ 1; 2; 4 ]
 

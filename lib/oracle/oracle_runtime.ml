@@ -3,8 +3,8 @@
    restored even when the property raises (QCheck records the raise as
    a violation; later cases must still see an enabled cache). *)
 let uncached f =
-  Runtime.set_enabled false;
-  Fun.protect ~finally:(fun () -> Runtime.set_enabled true) f
+  Lang_cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Lang_cache.set_enabled true) f
 
 (* Run cached twice: the first call may populate (miss path), the
    second must hit.  Both must agree with the direct answer. *)

@@ -14,7 +14,7 @@
     sub-break-even batches must take the counted sequential fallback
     without changing results.  The matcher's per-domain scratch fast path is
     cross-checked against its allocating reference
-    ({!Extraction.matcher_splits_fresh}) and the quadratic
+    ({!Oracle_ref.matcher_splits_fresh}) and the quadratic
     {!Extraction.splits} specification, including from inside pool
     workers where scratch reuse could bleed between items. *)
 

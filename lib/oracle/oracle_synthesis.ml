@@ -27,7 +27,9 @@ let tests ~count =
         | Error _ -> true
         | Ok (e', _) -> (
             let rng = Random.State.make [| seed |] in
-            match Lang.sample (Extraction.language e') rng ~max_len:12 with
+            match
+              Oracle_gen.sample (Extraction.language e') rng ~max_len:12
+            with
             | None -> true
             | Some w -> (
                 match Extraction.extract e' w with

@@ -49,8 +49,6 @@ let intern e =
 
 let intern_node e = fst (intern e)
 let stats () = Mutex.protect mutex (fun () -> (!hit_count, !miss_count))
-let table_size () = Mutex.protect mutex (fun () -> H.length table)
-
 let reset () =
   Mutex.protect mutex (fun () ->
       H.reset table;

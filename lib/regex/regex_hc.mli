@@ -32,8 +32,6 @@ val stats : unit -> int * int
 (** [(hits, misses)] — interning lookups that found an existing node
     vs. ones that registered a fresh one. *)
 
-val table_size : unit -> int
-
 val reset : unit -> unit
 (** Drop the table and the counters.  Fresh ids continue from where the
     old table stopped. *)

@@ -42,11 +42,6 @@ let stats () =
     rejected = Atomic.get rejected_c;
   }
 
-let reset_stats () =
-  Atomic.set saved_c 0;
-  Atomic.set loaded_c 0;
-  Atomic.set rejected_c 0
-
 let () =
   Obs.register_provider "artifact" (fun () ->
       let s = stats () in

@@ -128,4 +128,3 @@ val equal : t -> t -> bool
 type stats = { saved : int; loaded : int; rejected : int }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit

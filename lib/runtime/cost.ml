@@ -33,10 +33,7 @@ let clamp ns = max min_item_ns (min max_item_ns ns)
    deque claim + wakeup cost is a few µs, so 1 ms keeps scheduling
    below 1% overhead while still yielding hundreds of units on the
    corpora that matter (3000 × 0.2 ms ≈ 600 ms ≈ 600 units). *)
-let default_target_ns = 1_000_000
-let target = Atomic.make default_target_ns
-let target_ns () = Atomic.get target
-let set_target_ns ns = Atomic.set target (max 1 ns)
+let target_ns () = 1_000_000
 
 (* --- the estimator --- *)
 

@@ -33,8 +33,7 @@ val cold_default_ns : int
 (** Estimate used before any observation (50 µs). *)
 
 val target_ns : unit -> int
-val set_target_ns : int -> unit
-(** Break-even total cost per work unit (default 1 ms, floor 1). *)
+(** Break-even total cost per work unit: 1 ms. *)
 
 (** {1 The estimator} *)
 

@@ -5,87 +5,100 @@ type ('k, 'v) node = {
   mutable next : ('k, 'v) node option;
 }
 
-type ('k, 'v) t = {
+(* One shard: only touched under its mutex. *)
+type ('k, 'v) shard = {
+  m : Mutex.t;
   mutable cap : int;
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable first : ('k, 'v) node option; (* most recently used *)
   mutable last : ('k, 'v) node option; (* least recently used *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
-let create ~cap =
-  {
-    cap = max 0 cap;
-    table = Hashtbl.create 64;
-    first = None;
-    last = None;
-    hits = 0;
-    misses = 0;
-  }
+type ('k, 'v) t = ('k, 'v) shard array
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.first <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.last <- n.prev);
+let shard_count = 16 (* a power of two: [shard_of] masks the hash *)
+let share total = (max 0 total + shard_count - 1) / shard_count
+
+let create ~cap =
+  Array.init shard_count (fun _ ->
+      {
+        m = Mutex.create ();
+        cap = share cap;
+        table = Hashtbl.create 64;
+        first = None;
+        last = None;
+      })
+
+let shard_of k = Hashtbl.hash k land (shard_count - 1)
+
+let locked t k f =
+  let s = t.(shard_of k) in
+  Mutex.protect s.m (fun () -> f s)
+
+let unlink s n =
+  (match n.prev with Some p -> p.next <- n.next | None -> s.first <- n.next);
+  (match n.next with Some x -> x.prev <- n.prev | None -> s.last <- n.prev);
   n.prev <- None;
   n.next <- None
 
-let push_front t n =
+let push_front s n =
   n.prev <- None;
-  n.next <- t.first;
-  (match t.first with Some f -> f.prev <- Some n | None -> t.last <- Some n);
-  t.first <- Some n
+  n.next <- s.first;
+  (match s.first with Some f -> f.prev <- Some n | None -> s.last <- Some n);
+  s.first <- Some n
 
-let find t k =
-  match Hashtbl.find_opt t.table k with
-  | Some n ->
-      t.hits <- t.hits + 1;
-      unlink t n;
-      push_front t n;
-      Some n.value
-  | None ->
-      t.misses <- t.misses + 1;
-      None
-
-let mem t k = Hashtbl.mem t.table k
-
-let evict_to_cap t =
-  while Hashtbl.length t.table > t.cap do
-    match t.last with
+let evict_to_cap s =
+  while Hashtbl.length s.table > s.cap do
+    match s.last with
     | None -> assert false (* nonempty table implies nonempty list *)
     | Some n ->
-        unlink t n;
-        Hashtbl.remove t.table n.key
+        unlink s n;
+        Hashtbl.remove s.table n.key
   done
 
-let add t k v =
-  if t.cap > 0 then
-    match Hashtbl.find_opt t.table k with
-    | Some n ->
-        n.value <- v;
-        unlink t n;
-        push_front t n
-    | None ->
-        let n = { key = k; value = v; prev = None; next = None } in
-        Hashtbl.replace t.table k n;
-        push_front t n;
-        evict_to_cap t
+let find t k =
+  locked t k (fun s ->
+      match Hashtbl.find_opt s.table k with
+      | Some n ->
+          unlink s n;
+          push_front s n;
+          Some n.value
+      | None -> None)
 
-let length t = Hashtbl.length t.table
-let capacity t = t.cap
+let mem t k = locked t k (fun s -> Hashtbl.mem s.table k)
+
+let add t k v =
+  locked t k (fun s ->
+      if s.cap > 0 then
+        match Hashtbl.find_opt s.table k with
+        | Some n ->
+            n.value <- v;
+            unlink s n;
+            push_front s n
+        | None ->
+            let n = { key = k; value = v; prev = None; next = None } in
+            Hashtbl.replace s.table k n;
+            push_front s n;
+            evict_to_cap s)
+
+let length t =
+  Array.fold_left
+    (fun acc s -> acc + Mutex.protect s.m (fun () -> Hashtbl.length s.table))
+    0 t
 
 let set_capacity t cap =
-  t.cap <- max 0 cap;
-  evict_to_cap t
+  Array.iter
+    (fun s ->
+      Mutex.protect s.m (fun () ->
+          s.cap <- share cap;
+          evict_to_cap s))
+    t
 
 let clear t =
-  Hashtbl.reset t.table;
-  t.first <- None;
-  t.last <- None
-
-let hits t = t.hits
-let misses t = t.misses
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
+  Array.iter
+    (fun s ->
+      Mutex.protect s.m (fun () ->
+          Hashtbl.reset s.table;
+          s.first <- None;
+          s.last <- None))
+    t

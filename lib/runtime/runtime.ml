@@ -56,28 +56,11 @@ type decision_value =
   | D_verdict of Maximality.verdict
   | D_maximize of (Extraction.t * Synthesis.strategy, Synthesis.failure) result
 
-(* The verdict LRU is sharded by key hash, like {!Lang_cache}: a key
-   always lands in the same shard, so concurrent domains only contend
-   on same-shard keys; hit/miss counters are atomics.  Sharding cannot
-   change cached answers — decisions are pure functions of their key,
-   so shard layout only moves eviction boundaries (what gets
-   recomputed), never what a hit returns. *)
-let shard_count = 16
-
-type decision_shard = {
-  m : Mutex.t;
-  lru : (decision_key, decision_value) Lru.t;
-}
-
-let decision_capacity_default = 4096
-let shard_cap total = max 1 ((total + shard_count - 1) / shard_count)
-
-let decision_shards =
-  Array.init shard_count (fun _ ->
-      {
-        m = Mutex.create ();
-        lru = Lru.create ~cap:(shard_cap decision_capacity_default);
-      })
+(* The verdict LRU is sharded by key hash, like {!Lang_cache}'s.
+   Sharding cannot change cached answers — decisions are pure functions
+   of their key, so shard layout only moves eviction boundaries (what
+   gets recomputed), never what a hit returns. *)
+let decisions : (decision_key, decision_value) Lru.t = Lru.create ~cap:4096
 
 (* One packed pair (hits high bits / misses low): a stats read is a
    single atomic load, so it can never catch the pair half-updated
@@ -109,15 +92,14 @@ let decide e op compute =
   if not (Lang_cache.enabled ()) then compute_verdict compute
   else
     let key = decision_key e op in
-    let s = decision_shards.(Hashtbl.hash key land (shard_count - 1)) in
-    match Mutex.protect s.m (fun () -> Lru.find s.lru key) with
+    match Lru.find decisions key with
     | Some v ->
         Obs.Counter2.hit decision_c;
         v
     | None ->
         Obs.Counter2.miss decision_c;
         let v = compute_verdict compute in
-        Mutex.protect s.m (fun () -> Lru.add s.lru key v);
+        Lru.add decisions key v;
         v
 
 (* --- configuration --- *)
@@ -158,32 +140,20 @@ let () =
 
 let set_cache_size n =
   Lang_cache.set_capacity n;
-  let per_shard = shard_cap n in
-  Array.iter
-    (fun s -> Mutex.protect s.m (fun () -> Lru.set_capacity s.lru per_shard))
-    decision_shards
+  Lru.set_capacity decisions n
 
 let cache_size () = Lang_cache.capacity ()
-let set_enabled = Lang_cache.set_enabled
-let enabled = Lang_cache.enabled
 
 let reset () =
   Lang_cache.clear ();
   Regex_hc.reset ();
-  Array.iter
-    (fun s -> Mutex.protect s.m (fun () -> Lru.clear s.lru))
-    decision_shards;
+  Lru.clear decisions;
   Obs.Counter2.reset decision_c;
   (* scheduling state is warm-path state too: benchmarks that reset
      between repetitions must also re-cold the chunk-size estimator *)
   Cost.reset ()
 
-(* --- cached pipeline --- *)
-
 let intern = Regex_hc.intern_node
-let lang_of_regex = Lang.of_regex
-let left_lang (e : Extraction.t) = lang_of_regex e.Extraction.alpha e.Extraction.left
-let right_lang (e : Extraction.t) = lang_of_regex e.Extraction.alpha e.Extraction.right
 
 (* --- cached decision procedures --- *)
 
@@ -204,8 +174,6 @@ let check_maximality e =
   | D_verdict v -> v
   | _ -> assert false
 
-let is_maximal e = check_maximality e = Maximality.Maximal
-
 let maximize e =
   match decide e "maximize" (fun () -> D_maximize (Synthesis.maximize e)) with
   | D_maximize r -> r
@@ -222,12 +190,6 @@ let maximize e =
    - an exhausted run raises out of [decide] {e before} [Lru.add], so
      an [Unknown] is never cached — a retry with a larger budget
      recomputes instead of being served the stale "don't know". *)
-
-let is_ambiguous_bounded ~budget e =
-  Guard.capture budget (fun () -> is_ambiguous e)
-
-let ambiguity_witness_bounded ~budget e =
-  Guard.capture budget (fun () -> ambiguity_witness e)
 
 let check_maximality_bounded ~budget e =
   Guard.capture budget (fun () -> check_maximality e)

@@ -58,12 +58,9 @@ val set_cache_size : int -> unit
     Default 4096. *)
 
 val cache_size : unit -> int
-
-val set_enabled : bool -> unit
-(** Disable/enable memoization globally (hash-consing stays on; it is
-    semantics-free).  Used by the differential oracles. *)
-
-val enabled : unit -> bool
+(** Memoization (both LRUs) is switched off and on with
+    {!Lang_cache.set_enabled}; hash-consing stays on, it is
+    semantics-free. *)
 
 val reset : unit -> unit
 (** Empty every cache and zero every counter — the "cold" state of the
@@ -74,15 +71,6 @@ val reset : unit -> unit
 val intern : Regex.t -> Regex.t
 (** The canonical node structurally equal to the argument. *)
 
-(** {1 The cached pipeline} *)
-
-val lang_of_regex : Alphabet.t -> Regex.t -> Lang.t
-(** Compile through the cache (this is [Lang.of_regex]; exposed here so
-    runtime users need not know where the cache lives). *)
-
-val left_lang : Extraction.t -> Lang.t
-val right_lang : Extraction.t -> Lang.t
-
 (** {1 Cached decision procedures}
 
     Same contracts as their [lib/core] counterparts. *)
@@ -91,7 +79,6 @@ val is_ambiguous : Extraction.t -> bool
 val is_unambiguous : Extraction.t -> bool
 val ambiguity_witness : Extraction.t -> Word.t option
 val check_maximality : Extraction.t -> Maximality.verdict
-val is_maximal : Extraction.t -> bool
 
 val maximize :
   Extraction.t ->
@@ -105,12 +92,6 @@ val maximize :
     it}; an exhausted run returns [Unknown] and caches {e nothing} —
     transient "don't know" outcomes are never served stale, a retry
     with a larger budget always recomputes. *)
-
-val is_ambiguous_bounded :
-  budget:Guard.Budget.t -> Extraction.t -> bool Guard.outcome
-
-val ambiguity_witness_bounded :
-  budget:Guard.Budget.t -> Extraction.t -> Word.t option Guard.outcome
 
 val check_maximality_bounded :
   budget:Guard.Budget.t -> Extraction.t -> Maximality.verdict Guard.outcome

@@ -137,5 +137,3 @@ let encode out =
         Obj [ ("err", Str "fault"); ("id", Int id); ("reason", Str reason) ]
   in
   to_string j
-
-let pp_outgoing ppf out = Format.pp_print_string ppf (encode out)

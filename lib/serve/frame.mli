@@ -82,5 +82,3 @@ val decode : ?max_bytes:int -> string -> (incoming, string) result
 
 val encode : outgoing -> string
 (** One JSON line, without the trailing newline. *)
-
-val pp_outgoing : Format.formatter -> outgoing -> unit

@@ -131,9 +131,9 @@ let print_exit_stats ~heal ~rt0 ~pool0 =
   Format.eprintf "%a" Pool.pp_stats
     (Pool.delta_stats ~earlier:pool0 (Pool.stats ()))
 
-let run cfg =
+let run ?abs cfg =
   (* validates the matcher (Not_online) before any I/O is touched *)
-  let sup = Supervisor.create cfg.sup in
+  let sup = Supervisor.create ?abs cfg.sup in
   install_signal_handlers ();
   Atomic.set stop_requested false;
   (* window baselines for the exit report: deltas, never resets *)
@@ -167,7 +167,7 @@ let run cfg =
                        fresh session table and admission window (the
                        previous connection's drain flipped its
                        supervisor to refusing) *)
-                    let conn_sup = Supervisor.create cfg.sup in
+                    let conn_sup = Supervisor.create ?abs cfg.sup in
                     serve_fd cfg conn_sup conn oc;
                     (try flush oc with Sys_error _ -> ());
                     (try Unix.close conn with Unix.Unix_error _ -> ());

@@ -115,7 +115,7 @@ type t = {
   mutable is_draining : bool;
 }
 
-let create cfg =
+let create ?abs cfg =
   if cfg.max_sessions < 1 then
     invalid_arg "Supervisor.create: max_sessions must be positive";
   if cfg.jobs < 1 then invalid_arg "Supervisor.create: jobs must be positive";
@@ -127,7 +127,7 @@ let create cfg =
     cfg;
     cur_matcher = cfg.matcher;
     cur_alpha = cfg.alpha;
-    front = Front.build cfg.alpha;
+    front = Front.build ?abs cfg.alpha;
     sessions = Hashtbl.create 64;
     next_ordinal = 0;
     is_draining = false;

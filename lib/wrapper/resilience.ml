@@ -106,17 +106,13 @@ let evaluate ?(abs = Abstraction.Tags) ?(train_perturbation = 2) ?sink ~seed
             match ground_truth abs alpha test with
             | None -> learn_failure ()
             | Some (word, truth_pos, _) ->
-                let hit_rigid =
-                  Extraction.matcher_extract xs.x_rigid word = `Unique truth_pos
-                in
                 let hit m =
-                  match Wrapper.extract_pos m word with
-                  | Ok i -> i = truth_pos
-                  | Error _ -> false
+                  Extraction.matcher_extract m word = `Unique truth_pos
                 in
+                let hit_rigid = hit xs.x_rigid in
                 let hit_lr = Lr_wrapper.extract xs.x_lr word = Some truth_pos in
-                let hit_merged = hit xs.x_merged in
-                let hit_maximized = hit xs.x_maximized in
+                let hit_merged = hit xs.x_merged.Wrapper.matcher in
+                let hit_maximized = hit xs.x_maximized.Wrapper.matcher in
                 emit
                   (trial_row ~seed ~intensity ~trial ~status:"evaluated" ~ops
                      ~verdicts:

@@ -106,12 +106,6 @@ let pp_extract_error ppf = function
   | Exhausted_budget r -> Guard.pp_reason ppf r
   | Worker_error msg -> Format.fprintf ppf "worker error: %s" msg
 
-let extract_pos t word =
-  match Extraction.matcher_extract t.matcher word with
-  | `Unique i -> Ok i
-  | `No_match -> Error No_match
-  | `Ambiguous l -> Error (Ambiguous_on_page l)
-
 (* Compiled form: the immutable subset of a wrapper that per-document
    extraction needs.  Matcher DFAs and the alphabet are never mutated
    after construction, so one [compiled] value is shared read-only by
@@ -149,7 +143,7 @@ let extract t doc = extract_compiled (compile t) doc
 
 (* Fused path: raw bytes straight to the winning path, no tree, no
    word, no origin array.  The [front] oracle layer holds this against
-   [extract_compiled] on the parsed tree. *)
+   [extract] on the parsed tree. *)
 let extract_raw c html =
   match Front.extract (Lazy.force c.c_front) c.c_matcher html with
   | Ok path -> Ok path
@@ -187,7 +181,7 @@ let of_artifact a =
 (* The batch fan-out both entry points share: [step] answers one item
    and [cost] is its relative weight for the pool's chunk planner, so
    giants plan as singleton units before they ever run. *)
-let map_batch ?jobs ?chunk ?fuel ?deadline_ms ?(retries = 0) ~cost step items =
+let map_batch ?jobs ?fuel ?deadline_ms ?(retries = 0) ~cost step items =
   let step =
     match (fuel, deadline_ms) with
     | None, None -> step
@@ -206,69 +200,21 @@ let map_batch ?jobs ?chunk ?fuel ?deadline_ms ?(retries = 0) ~cost step items =
   in
   List.map
     (function Ok r -> r | Error msg -> Error (Worker_error msg))
-    (Batch.map_isolated ?jobs ~cost ?chunk step items)
+    (Batch.map_isolated ?jobs ~cost step items)
 
 (* node count is the tree path's weight: page size is the best static
    proxy for the linear-time matching cost (Lemma 5.2) *)
-let extract_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?retries c docs =
-  map_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries
-    ~cost:Html_tree.count_nodes (extract_compiled c) docs
-
-let extract_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries t docs =
-  extract_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?retries (compile t)
+let extract_batch ?jobs ?fuel ?deadline_ms ?retries t docs =
+  map_batch ?jobs ?fuel ?deadline_ms ?retries ~cost:Html_tree.count_nodes
+    (extract_compiled (compile t))
     docs
 
-let extract_raw_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries t pages =
+let extract_raw_batch ?jobs ?fuel ?deadline_ms ?retries t pages =
   let c = compile t in
   (* force the token table on the submitting domain: workers must
      share one frozen table, not race to build their own *)
   ignore (Lazy.force c.c_front);
   (* byte length is the raw-page analogue of the node-count weight: the
      fused pass is linear in the input bytes *)
-  map_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries ~cost:String.length
+  map_batch ?jobs ?fuel ?deadline_ms ?retries ~cost:String.length
     (extract_raw c) pages
-
-(* --- generation cell: atomic hot-swap for the self-healing loop ---
-
-   One immutable snapshot per generation: the wrapper, its compiled
-   form (with the front-end table forced, so readers on any domain
-   share the frozen structures), and the generation ordinal.  A swap
-   publishes a whole new snapshot in a single [Atomic.set]; readers
-   take one [Atomic.get] and never observe a torn (wrapper, generation)
-   pair.  Swapping is single-writer by design (the heal manager runs on
-   the supervising domain), so set — not CAS — is enough. *)
-
-module Gen = struct
-  type snapshot = { g_wrapper : t; g_compiled : compiled; g_generation : int }
-  type gen = snapshot Atomic.t
-
-  let snap w generation =
-    let c = compile w in
-    ignore (Lazy.force c.c_front);
-    { g_wrapper = w; g_compiled = c; g_generation = generation }
-
-  let make ?(generation = 0) w =
-    if generation < 0 then invalid_arg "Wrapper.Gen.make: negative generation";
-    Atomic.make (snap w generation)
-
-  let get g =
-    let s = Atomic.get g in
-    (s.g_wrapper, s.g_generation)
-
-  let wrapper g = (Atomic.get g).g_wrapper
-  let generation g = (Atomic.get g).g_generation
-
-  let swap g w =
-    let next = (Atomic.get g).g_generation + 1 in
-    Atomic.set g (snap w next);
-    next
-
-  (* One atomic snapshot for the whole batch: a concurrent swap never
-     changes which generation a batch runs under mid-flight, and the
-     snapshot's pre-forced compiled form is reused (no recompile per
-     batch). *)
-  let extract_batch ?jobs ?chunk ?fuel ?deadline_ms ?retries g docs =
-    let s = Atomic.get g in
-    extract_batch_compiled ?jobs ?chunk ?fuel ?deadline_ms ?retries
-      s.g_compiled docs
-end

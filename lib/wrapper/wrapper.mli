@@ -52,34 +52,27 @@ val pp_extract_error : Format.formatter -> extract_error -> unit
     [UNKNOWN(<stage>,<spent>)] form the CLI and CI grep for. *)
 
 val extract : t -> Html_tree.doc -> (Html_tree.path, extract_error) result
-(** Locate the target node on a fresh page. *)
-
-val extract_pos : t -> Word.t -> (int, extract_error) result
-(** Sequence-level extraction (used by the resilience harness). *)
+(** Locate the target node on a parsed page. *)
 
 (** {1 Compile once, evaluate many}
 
     The document-spanner split: {!compile} freezes a wrapper into an
-    immutable matcher table, after which {!extract_compiled} is a pure
-    function of the document — safe to run concurrently from many
+    immutable matcher table, after which {!extract_raw} is a pure
+    function of the page bytes — safe to run concurrently from many
     domains. *)
 
 type compiled
-(** Immutable: the alphabet, the abstraction, the matcher DFAs, and
+(** Immutable: the alphabet, the abstraction, the matcher tables, and
     (lazily) the fused front-end's token table ({!Front.table}). *)
 
 val compile : t -> compiled
-
-val extract_compiled :
-  compiled -> Html_tree.doc -> (Html_tree.path, extract_error) result
-(** Same contract as {!extract}. *)
 
 val extract_raw : compiled -> string -> (Html_tree.path, extract_error) result
 (** The fused path: raw HTML bytes → interned ids → class-space
     matching → winning node's path, in one pass with no intermediate
     tree, word, or origin array ({!Front.extract}).  Answers are
-    byte-identical to parsing the page and calling {!extract_compiled}
-    — including which [Unknown_tag] is reported — which the [front]
+    byte-identical to parsing the page and calling {!extract} —
+    including which [Unknown_tag] is reported — which the [front]
     oracle layer checks differentially. *)
 
 (** {1 Artifacts}
@@ -108,7 +101,6 @@ val of_artifact : Artifact.t -> (t, string) result
 
 val extract_batch :
   ?jobs:int ->
-  ?chunk:Pool.chunking ->
   ?fuel:int ->
   ?deadline_ms:int ->
   ?retries:int ->
@@ -126,17 +118,12 @@ val extract_batch :
     other item.  When [fuel] (and optionally [deadline_ms] / [retries])
     is given, each item runs under its own escalating {!Guard} budget
     and answers [Error (Exhausted_budget _)] when every attempt runs
-    out.
-
-    Scheduling granularity: each document's node count is passed to
-    the pool's chunk planner as its relative cost, so cheap pages are
-    grouped into break-even work units and giant pages stay singleton
-    units; [chunk] overrides the planner ({!Pool.chunking}, default
-    [Auto]).  Like [jobs], it never changes the result list. *)
+    out.  Each document's node count is its relative cost for the
+    pool's chunk planner, so cheap pages are grouped into break-even
+    work units and giant pages stay singleton units. *)
 
 val extract_raw_batch :
   ?jobs:int ->
-  ?chunk:Pool.chunking ->
   ?fuel:int ->
   ?deadline_ms:int ->
   ?retries:int ->
@@ -149,47 +136,3 @@ val extract_raw_batch :
     is linear in input bytes, Lemma 5.2's analogue).  The front-end
     token table is forced before the fan-out so all domains share one
     frozen table. *)
-
-(** {1 Generations}
-
-    The self-healing loop's publication point: a [gen] cell holds the
-    {e current} wrapper together with its generation ordinal and
-    pre-compiled form, and {!Gen.swap} replaces all three in one atomic
-    store.  Readers ({!Gen.extract_batch}, the serve supervisor's
-    admission pass) take a single snapshot, so a batch or session never
-    observes a torn (wrapper, generation) pair and a swap mid-batch
-    leaves that batch on the generation it started under.  Swapping is
-    single-writer (the heal manager, on the supervising domain). *)
-
-module Gen : sig
-  type gen
-
-  val make : ?generation:int -> t -> gen
-  (** A cell at the given generation (default 0 — a freshly learned,
-      never-healed wrapper).  Compiles the wrapper and forces its
-      front-end table, so the snapshot is shareable across domains.
-      @raise Invalid_argument on a negative [generation]. *)
-
-  val get : gen -> t * int
-  (** One atomic snapshot: the current wrapper and its generation. *)
-
-  val wrapper : gen -> t
-  val generation : gen -> int
-
-  val swap : gen -> t -> int
-  (** Publish a re-synthesized wrapper as the next generation and
-      answer the new ordinal.  In-flight batches keep the snapshot they
-      took; new snapshots see the new wrapper. *)
-
-  val extract_batch :
-    ?jobs:int ->
-    ?chunk:Pool.chunking ->
-    ?fuel:int ->
-    ?deadline_ms:int ->
-    ?retries:int ->
-    gen ->
-    Html_tree.doc list ->
-    (Html_tree.path, extract_error) result list
-  (** {!Wrapper.extract_batch} against one atomic snapshot of the cell,
-      reusing its pre-compiled matcher and front-end table. *)
-end

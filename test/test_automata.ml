@@ -35,38 +35,40 @@ let test_bitvec () =
 let test_nfa_accepts () =
   let n = Nfa.of_regex ab_pq (rx ab_pq "(p q)* p") in
   Nfa.validate n;
-  check_bool "pqp" true (Nfa.accepts n (w ab_pq "pqp"));
-  check_bool "p" true (Nfa.accepts n (w ab_pq "p"));
-  check_bool "pq" false (Nfa.accepts n (w ab_pq "pq"));
-  check_bool "ε" false (Nfa.accepts n [||])
+  check_bool "pqp" true (Oracle_ref.nfa_accepts n (w ab_pq "pqp"));
+  check_bool "p" true (Oracle_ref.nfa_accepts n (w ab_pq "p"));
+  check_bool "pq" false (Oracle_ref.nfa_accepts n (w ab_pq "pq"));
+  check_bool "ε" false (Oracle_ref.nfa_accepts n [||])
 
 let test_nfa_combinators () =
   let a = Nfa.of_regex ab_pq (rx ab_pq "p") in
   let b = Nfa.of_regex ab_pq (rx ab_pq "q") in
   let u = Nfa.union a b in
   Nfa.validate u;
-  check_bool "union p" true (Nfa.accepts u (w ab_pq "p"));
-  check_bool "union q" true (Nfa.accepts u (w ab_pq "q"));
-  check_bool "union pq" false (Nfa.accepts u (w ab_pq "pq"));
+  check_bool "union p" true (Oracle_ref.nfa_accepts u (w ab_pq "p"));
+  check_bool "union q" true (Oracle_ref.nfa_accepts u (w ab_pq "q"));
+  check_bool "union pq" false (Oracle_ref.nfa_accepts u (w ab_pq "pq"));
   let c = Nfa.concat a b in
   Nfa.validate c;
-  check_bool "concat pq" true (Nfa.accepts c (w ab_pq "pq"));
-  check_bool "concat p" false (Nfa.accepts c (w ab_pq "p"));
+  check_bool "concat pq" true (Oracle_ref.nfa_accepts c (w ab_pq "pq"));
+  check_bool "concat p" false (Oracle_ref.nfa_accepts c (w ab_pq "p"));
   let s = Nfa.star c in
   Nfa.validate s;
-  check_bool "star ε" true (Nfa.accepts s [||]);
-  check_bool "star pqpq" true (Nfa.accepts s (w ab_pq "pqpq"));
-  check_bool "star pqp" false (Nfa.accepts s (w ab_pq "pqp"));
+  check_bool "star ε" true (Oracle_ref.nfa_accepts s [||]);
+  check_bool "star pqpq" true (Oracle_ref.nfa_accepts s (w ab_pq "pqpq"));
+  check_bool "star pqp" false (Oracle_ref.nfa_accepts s (w ab_pq "pqp"));
   let r = Nfa.reverse c in
   Nfa.validate r;
-  check_bool "reverse accepts qp" true (Nfa.accepts r (w ab_pq "qp"));
-  check_bool "reverse rejects pq" false (Nfa.accepts r (w ab_pq "pq"))
+  check_bool "reverse accepts qp" true
+    (Oracle_ref.nfa_accepts r (w ab_pq "qp"));
+  check_bool "reverse rejects pq" false
+    (Oracle_ref.nfa_accepts r (w ab_pq "pq"))
 
 let test_nfa_word () =
   let n = Nfa.word ~alpha_size:2 (w ab_pq "pqp") in
   Nfa.validate n;
-  check_bool "accepts itself" true (Nfa.accepts n (w ab_pq "pqp"));
-  check_bool "rejects prefix" false (Nfa.accepts n (w ab_pq "pq"))
+  check_bool "accepts itself" true (Oracle_ref.nfa_accepts n (w ab_pq "pqp"));
+  check_bool "rejects prefix" false (Oracle_ref.nfa_accepts n (w ab_pq "pq"))
 
 (* --- determinize / minimize --- *)
 
@@ -79,7 +81,7 @@ let test_determinize_agrees_with_nfa () =
       let word = w ab_pq s in
       check_bool
         (Printf.sprintf "agree on %S" s)
-        (Nfa.accepts n word) (Dfa.accepts d word))
+        (Oracle_ref.nfa_accepts n word) (Dfa.accepts d word))
     [ ""; "p"; "q"; "qp"; "qq"; "pqp"; "ppp"; "pqqp" ]
 
 let test_minimize_sizes () =
@@ -97,7 +99,7 @@ let test_hopcroft_eq_moore () =
     (fun s ->
       let d = Determinize.run (Nfa.of_regex ab_pq (rx ab_pq s)) in
       let h = Minimize.hopcroft d in
-      let m = Minimize.moore d in
+      let m = Oracle_ref.moore d in
       check_bool
         (Printf.sprintf "hopcroft = moore on %s" s)
         true
@@ -110,7 +112,7 @@ let test_hopcroft_eq_moore () =
 let prop_hopcroft_eq_moore =
   qtest "Hopcroft and Moore agree" (arb_plain_regex ab_pqr) (fun e ->
       let d = Determinize.run (Nfa.of_regex ab_pqr e) in
-      Dfa.equal_structure (Minimize.hopcroft d) (Minimize.moore d))
+      Dfa.equal_structure (Minimize.hopcroft d) (Oracle_ref.moore d))
 
 let prop_minimal_dfa_agrees_with_derivatives =
   qtest "minimal DFA ≡ derivative matcher"
@@ -285,10 +287,7 @@ let test_dot_output () =
        i + String.length needle <= String.length dot
        && (String.sub dot i (String.length needle) = needle || find (i + 1))
      in
-     find 0);
-  let n = Nfa.of_regex ab_pq (rx ab_pq "p | q p") in
-  let ndot = Fa_dot.nfa ab_pq n in
-  check_bool "nfa dot nonempty" true (String.length ndot > 20)
+     find 0)
 
 (* --- state elimination --- *)
 
@@ -345,7 +344,7 @@ let test_minimize_unreachable () =
     }
   in
   check_int "hopcroft" 1 (Minimize.hopcroft d).Dfa.size;
-  check_int "moore" 1 (Minimize.moore d).Dfa.size
+  check_int "moore" 1 (Oracle_ref.moore d).Dfa.size
 
 let classes_oracle = of_oracle ~count:60 Oracle_classes.tests
 

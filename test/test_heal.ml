@@ -1,7 +1,7 @@
 (* Unit tests for the self-healing loop: the drift detector's trip
    rule, the quarantine ring's eviction discipline, re-labeling and
-   re-synthesis, the manager's heal/fail paths, the generation cell,
-   and the supervisor's healed-frame emission.  The differential
+   re-synthesis, the manager's heal/fail paths and generations, and
+   the supervisor's healed-frame emission.  The differential
    properties (byte-inertness, jobs-invariance, the EWMA fold) live in
    lib/oracle/oracle_heal; this file pins the concrete contracts. *)
 
@@ -136,21 +136,6 @@ let test_resynthesize_extracts_samples () =
           | Error _ -> Alcotest.fail "healed wrapper fails the drifted layout")
         quarantined
 
-(* --- Wrapper.Gen --- *)
-
-let test_generation_cell () =
-  let w = Lazy.force wrapper in
-  let g = Wrapper.Gen.make w in
-  Alcotest.(check int) "starts at 0" 0 (Wrapper.Gen.generation g);
-  let gen1 = Wrapper.Gen.swap g w in
-  Alcotest.(check int) "swap bumps" 1 gen1;
-  Alcotest.(check int) "visible" 1 (Wrapper.Gen.generation g);
-  let doc = fst (List.hd (Lazy.force samples)) in
-  Alcotest.(check bool)
-    "Gen batch ≡ wrapper batch" true
-    (Wrapper.Gen.extract_batch ~jobs:1 g [ doc ]
-    = Wrapper.extract_batch ~jobs:1 w [ doc ])
-
 (* --- manager --- *)
 
 let heal_config =
@@ -255,23 +240,54 @@ let script_for ids html =
       ])
     ids
 
+(* --- generation --- *)
+
+let sup_config (w : Wrapper.t) heal =
+  {
+    Supervisor.matcher = w.matcher;
+    alpha = w.alpha;
+    jobs = 1;
+    max_sessions = 64;
+    fuel = None;
+    deadline_ms = None;
+    retry_after_ms = 7;
+    heal;
+  }
+
+let test_generation_per_heal () =
+  let samples = Lazy.force samples in
+  let w = Lazy.force wrapper in
+  let bad = drifted (Html_tree.to_string (fst (List.hd samples))) in
+  let m = Heal.Manager.create ~config:heal_config ~samples w in
+  Alcotest.(check int) "starts at 0" 0 (Heal.Manager.generation m);
+  Alcotest.(check bool) "holds the given wrapper" true
+    (Heal.Manager.wrapper m == w);
+  let sup = Supervisor.create (sup_config w (Some m)) in
+  ignore (Supervisor.handle_batch sup (script_for [ 1; 2; 3 ] bad));
+  Alcotest.(check int) "one heal, generation 1" 1 (Heal.Manager.generation m);
+  (* the next opened session runs the healed matcher: its frames are
+     those of a daemon started on the generation-1 wrapper *)
+  let healed = Heal.Manager.wrapper m in
+  Alcotest.(check bool) "healed wrapper is current" false (healed == w);
+  let fresh = Supervisor.create (sup_config healed None) in
+  Alcotest.(check bool)
+    "next session ≡ healed daemon" true
+    (Supervisor.handle_batch sup (script_for [ 4 ] bad)
+    = Supervisor.handle_batch fresh (script_for [ 4 ] bad));
+  (* drive the manager by hand: each heal adds exactly one *)
+  for _ = 1 to 3 do
+    Heal.Manager.observe m ~ok:false ~page:(Some bad)
+  done;
+  (match Heal.Manager.maybe_heal m with
+  | Heal.Manager.Healed { generation = 2; _ } -> ()
+  | _ -> Alcotest.fail "expected a heal to generation 2");
+  Alcotest.(check int) "two heals, generation 2" 2 (Heal.Manager.generation m)
+
 let test_supervisor_emits_healed_frame () =
   let samples = Lazy.force samples in
   let w = Lazy.force wrapper in
   let m = Heal.Manager.create ~config:heal_config ~samples w in
-  let sup =
-    Supervisor.create
-      {
-        Supervisor.matcher = w.Wrapper.matcher;
-        alpha = w.Wrapper.alpha;
-        jobs = 1;
-        max_sessions = 64;
-        fuel = None;
-        deadline_ms = None;
-        retry_after_ms = 7;
-        heal = Some m;
-      }
-  in
+  let sup = Supervisor.create (sup_config w (Some m)) in
   let bad = drifted (Html_tree.to_string (fst (List.hd samples))) in
   (* batch 1: three drifting sessions fail and trip the detector; the
      healed frame comes after the batch's own frames *)
@@ -310,7 +326,9 @@ let () =
             test_resynthesize_extracts_samples;
         ] );
       ( "generation",
-        [ Alcotest.test_case "atomic cell" `Quick test_generation_cell ] );
+        [
+          Alcotest.test_case "rises per heal" `Quick test_generation_per_heal;
+        ] );
       ( "manager",
         [
           Alcotest.test_case "heals on drift" `Quick test_manager_heals;

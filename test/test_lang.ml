@@ -120,7 +120,7 @@ let test_counting () =
     empties
 
 let test_words_upto () =
-  let words = Lang.words_upto (l "p q | q") 2 in
+  let words = Oracle_gen.words_upto (l "p q | q") 2 in
   let strs = List.map (Word.to_string ab_pq) words in
   Alcotest.(check (list string)) "enumeration" [ "q"; "pq" ] strs
 
@@ -131,8 +131,9 @@ let test_words_upto () =
 let test_edge_empty () =
   let empty = Lang.empty ab_pq in
   let rng = Random.State.make [| 1 |] in
-  check_bool "sample ∅ = None" true (Lang.sample empty rng ~max_len:5 = None);
-  check_int "words_upto ∅" 0 (List.length (Lang.words_upto empty 3));
+  check_bool "sample ∅ = None" true
+    (Oracle_gen.sample empty rng ~max_len:5 = None);
+  check_int "words_upto ∅" 0 (List.length (Oracle_gen.words_upto empty 3));
   check_bool "shortest ∅ = None" true (Lang.shortest empty = None);
   (* the complement of ∅ contains ε, the shortest word of all *)
   check_bool "shortest_not_in ∅ = ε" true (Lang.shortest_not_in empty = Some [||])
@@ -140,11 +141,13 @@ let test_edge_empty () =
 let test_edge_epsilon () =
   let eps = Lang.epsilon ab_pq in
   let rng = Random.State.make [| 1 |] in
-  check_bool "sample {ε} = ε" true (Lang.sample eps rng ~max_len:5 = Some [||]);
+  check_bool "sample {ε} = ε" true
+    (Oracle_gen.sample eps rng ~max_len:5 = Some [||]);
   (* max_len 0 still admits ε itself *)
   check_bool "sample {ε} with budget 0" true
-    (Lang.sample eps rng ~max_len:0 = Some [||]);
-  check_bool "words_upto {ε} = [ε]" true (Lang.words_upto eps 3 = [ [||] ]);
+    (Oracle_gen.sample eps rng ~max_len:0 = Some [||]);
+  check_bool "words_upto {ε} = [ε]" true
+    (Oracle_gen.words_upto eps 3 = [ [||] ]);
   check_bool "shortest_not_in {ε} has length 1" true
     (match Lang.shortest_not_in eps with
     | Some w -> Array.length w = 1
@@ -152,12 +155,12 @@ let test_edge_epsilon () =
 
 let test_edge_universal () =
   let rng = Random.State.make [| 1 |] in
-  (match Lang.sample sigma_star rng ~max_len:4 with
+  (match Oracle_gen.sample sigma_star rng ~max_len:4 with
   | Some w -> check_bool "sample Σ* within budget" true (Array.length w <= 4)
   | None -> Alcotest.fail "sample Σ* returned None");
   (* 1 + 2 + 4 words of length ≤ 2 over a binary alphabet *)
   check_int "words_upto Σ* counts all words" 7
-    (List.length (Lang.words_upto sigma_star 2));
+    (List.length (Oracle_gen.words_upto sigma_star 2));
   check_bool "shortest Σ* = ε" true (Lang.shortest sigma_star = Some [||]);
   check_bool "shortest_not_in Σ* = None" true
     (Lang.shortest_not_in sigma_star = None)
@@ -169,9 +172,9 @@ let test_edge_sample_budget () =
   let long = l "p p p p p p" in
   let rng = Random.State.make [| 1 |] in
   check_bool "sample respects max_len over shortest" true
-    (Lang.sample long rng ~max_len:3 = None);
+    (Oracle_gen.sample long rng ~max_len:3 = None);
   check_bool "sample finds it with enough budget" true
-    (Lang.sample long rng ~max_len:6 = Some (w ab_pq "pppppp"))
+    (Oracle_gen.sample long rng ~max_len:6 = Some (w ab_pq "pppppp"))
 
 (* Lemma 6.3(7): E1 ⊆ E2/(p·Σ^* ) implies E1/(p·Σ^* ) ⊆ E2/(p·Σ^* ). *)
 let prop_lemma_6_3_7 =

@@ -105,8 +105,8 @@ let test_span_parenting_through_pool () =
 
 let test_exhaustion_closes_spans_failed () =
   with_tracing @@ fun () ->
-  Runtime.set_enabled false;
-  Fun.protect ~finally:(fun () -> Runtime.set_enabled true) @@ fun () ->
+  Lang_cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Lang_cache.set_enabled true) @@ fun () ->
   let e = Extraction.parse ab_pq "(q p)* <p> (p | q)*" in
   (match Guard.run ~fuel:8 (fun () -> Maximality.check e) with
   | Guard.Unknown _ -> ()

@@ -1,4 +1,4 @@
-(* Tests for the compiled-extraction runtime: the LRU kernel, regex
+(* Tests for the compiled-extraction runtime: the sharded LRU, regex
    hash-consing, the memoized pipeline's observational transparency,
    and the chunked multicore batch executor. *)
 
@@ -8,47 +8,55 @@ let ex s = Extraction.parse ab_pq s
 
 (* --- Lru kernel --- *)
 
-let test_lru_basic () =
-  let c = Lru.create ~cap:2 in
-  check_bool "miss on empty" true (Lru.find c "a" = None);
-  Lru.add c "a" 1;
-  Lru.add c "b" 2;
-  check_bool "hit a" true (Lru.find c "a" = Some 1);
-  (* "b" is now least-recent; adding "c" evicts it *)
-  Lru.add c "c" 3;
-  check_bool "b evicted" true (Lru.find c "b" = None);
-  check_bool "a kept" true (Lru.find c "a" = Some 1);
-  check_bool "c kept" true (Lru.find c "c" = Some 3);
-  check_int "length" 2 (Lru.length c);
-  check_int "hits" 3 (Lru.hits c);
-  check_int "misses" 2 (Lru.misses c)
+(* Recency and eviction are per shard: these keys share one. *)
+let same_shard =
+  List.filter (fun k -> Lru.shard_of k = Lru.shard_of 0) (List.init 200 Fun.id)
 
+let k i = List.nth same_shard i
+
+(* 32 = 2 per shard *)
+let test_lru_basic () =
+  let c = Lru.create ~cap:32 in
+  check_bool "miss on empty" true (Lru.find c (k 0) = None);
+  Lru.add c (k 0) "a";
+  Lru.add c (k 1) "b";
+  check_bool "hit a" true (Lru.find c (k 0) = Some "a");
+  (* "b" is now least-recent; adding "c" evicts it *)
+  Lru.add c (k 2) "c";
+  check_bool "b evicted" true (Lru.find c (k 1) = None);
+  check_bool "a kept" true (Lru.find c (k 0) = Some "a");
+  check_bool "c kept" true (Lru.find c (k 2) = Some "c");
+  check_int "length" 2 (Lru.length c)
+
+(* 48 = 3 per shard *)
 let test_lru_replace_and_resize () =
-  let c = Lru.create ~cap:3 in
-  Lru.add c 1 "one";
-  Lru.add c 2 "two";
-  Lru.add c 1 "uno";
+  let c = Lru.create ~cap:48 in
+  Lru.add c (k 1) "one";
+  Lru.add c (k 2) "two";
+  Lru.add c (k 1) "uno";
   check_bool "replace keeps one binding" true (Lru.length c = 2);
-  check_bool "replaced value" true (Lru.find c 1 = Some "uno");
-  Lru.add c 3 "three";
-  (* recency now: 3, 1, 2 — shrinking to 1 keeps only 3 *)
-  Lru.set_capacity c 1;
+  check_bool "replaced value" true (Lru.find c (k 1) = Some "uno");
+  Lru.add c (k 3) "three";
+  (* recency now: 3, 1, 2 — shrinking to 1 per shard keeps only 3 *)
+  Lru.set_capacity c 16;
   check_int "shrunk" 1 (Lru.length c);
-  check_bool "most recent survives" true (Lru.mem c 3);
+  check_bool "most recent survives" true (Lru.mem c (k 3));
   Lru.set_capacity c 0;
   check_int "cap 0 empties" 0 (Lru.length c);
-  Lru.add c 9 "nine";
+  Lru.add c (k 4) "nine";
   check_int "cap 0 stores nothing" 0 (Lru.length c)
 
-let test_lru_clear () =
-  let c = Lru.create ~cap:4 in
-  Lru.add c 1 1;
-  ignore (Lru.find c 1);
+(* each shard holds the ceiling share of the total: 17 splits into 2
+   per shard, so 1000 keys fill exactly 32 slots *)
+let test_lru_shards () =
+  let c = Lru.create ~cap:17 in
+  for i = 1 to 1000 do
+    Lru.add c i i
+  done;
+  check_int "ceiling split" (2 * Lru.shard_count) (Lru.length c);
+  check_bool "most recent kept" true (Lru.find c 1000 = Some 1000);
   Lru.clear c;
-  check_int "cleared" 0 (Lru.length c);
-  check_int "stats survive clear" 1 (Lru.hits c);
-  Lru.reset_stats c;
-  check_int "stats reset" 0 (Lru.hits c)
+  check_int "clear empties every shard" 0 (Lru.length c)
 
 (* --- hash-consing --- *)
 
@@ -66,8 +74,8 @@ let test_intern_sharing () =
 (* --- cached pipeline transparency --- *)
 
 let with_uncached f =
-  Runtime.set_enabled false;
-  Fun.protect ~finally:(fun () -> Runtime.set_enabled true) f
+  Lang_cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Lang_cache.set_enabled true) f
 
 let test_cached_equals_direct () =
   let cases =
@@ -183,7 +191,7 @@ let () =
           Alcotest.test_case "find/add/evict order" `Quick test_lru_basic;
           Alcotest.test_case "replace and resize" `Quick
             test_lru_replace_and_resize;
-          Alcotest.test_case "clear and stats" `Quick test_lru_clear;
+          Alcotest.test_case "sharding and clear" `Quick test_lru_shards;
         ] );
       ( "hash-consing",
         [ Alcotest.test_case "physical sharing" `Quick test_intern_sharing ] );

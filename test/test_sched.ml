@@ -281,7 +281,7 @@ let test_scratch_matches_fresh_in_workers () =
           (Random.State.int rng 200)
           (fun _ -> Random.State.int rng 2))
   in
-  let expect = List.map (Extraction.matcher_splits_fresh m) words in
+  let expect = List.map (Oracle_ref.matcher_splits_fresh m) words in
   check_bool "scratch ≡ fresh sequentially" true
     (List.map (Extraction.matcher_splits m) words = expect);
   check_bool "scratch ≡ fresh under jobs=4" true

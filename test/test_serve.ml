@@ -176,6 +176,60 @@ let test_sup_page_unknown_tag () =
     ]
     out
 
+(* A daemon serving a loaded artifact tokenizes pages under the
+   artifact's own abstraction: a refined Figure 1 wrapper learned with
+   INPUT:type symbols, saved and reloaded, pins the split the fused
+   batch path finds.  Built from the alphabet alone, the front-end
+   would emit plain INPUT and the session would close with 0 splits. *)
+let test_sup_loaded_abstraction () =
+  let abs = Abstraction.Tags_with_attrs [ ("INPUT", "type") ] in
+  let top = Pagegen.figure1_top () in
+  let bottom = Pagegen.figure1_bottom () in
+  let alpha = Wrapper.alphabet_for ~abs [ top; bottom ] in
+  let target d = (d, Option.get (Pagegen.target_path d)) in
+  let learned =
+    match Wrapper.learn ~abs ~alpha [ target top; target bottom ] with
+    | Ok w -> w
+    | Error e -> Alcotest.failf "refined learn: %a" Wrapper.pp_learn_error e
+  in
+  let rxc = Filename.temp_file "rexdex_serve" ".rxc" in
+  Wrapper.compile_to learned rxc;
+  let w =
+    match Artifact.load rxc with
+    | Error err -> Alcotest.fail (Artifact.error_to_string err)
+    | Ok a -> Result.get_ok (Wrapper.of_artifact a)
+  in
+  Sys.remove rxc;
+  let html = Html_tree.to_string top in
+  let sup =
+    Supervisor.create ~abs:w.Wrapper.abs
+      {
+        Supervisor.matcher = w.matcher;
+        alpha = w.alpha;
+        jobs = 1;
+        max_sessions = 64;
+        fuel = None;
+        deadline_ms = None;
+        retry_after_ms = 7;
+        heal = None;
+      }
+  in
+  let out =
+    Supervisor.handle_batch sup [ open_line 1; page_line 1 html; close_line 1 ]
+  in
+  let batch = Wrapper.extract_raw (Wrapper.compile w) html in
+  Alcotest.(check bool) "batch path extracts" true (Result.is_ok batch);
+  match List.filter (function Frame.Split _ -> true | _ -> false) out with
+  | [ Frame.Split { pos; _ } ] ->
+      let path =
+        Tag_seq.path_of_mark ~abs w.alpha (Html_tree.parse html) pos
+      in
+      Alcotest.(check bool)
+        "session split ≡ Wrapper.extract_raw" true
+        (path = Result.to_option batch)
+  | _ ->
+      Alcotest.failf "expected one split, got %s" (String.concat " " (enc out))
+
 (* --- allocation pins ---
 
    A session steps its matcher directly, so feeding it allocates per
@@ -392,6 +446,8 @@ let () =
             test_sup_page_equals_tokens;
           Alcotest.test_case "unknown tag is a terminal proto error" `Quick
             test_sup_page_unknown_tag;
+          Alcotest.test_case "loaded artifact keeps its abstraction" `Quick
+            test_sup_loaded_abstraction;
         ] );
       ( "supervisor",
         [
