@@ -886,17 +886,18 @@ let e14 () =
      allocates less than the fresh path, and on a multicore host the\n\
      skewed corpus still scales (stealing drains the giant chunk).\n";
   (* Tiny-items corpus: the inversion regime — thousands of
-     sub-millisecond pages, where per-item dispatch used to cost more
-     than the parallelism bought (speedup_j4 was 0.53 before cost-aware
-     chunking).  With the planner grouping pages into break-even work
-     units, jobs=4 must hold at least parity. *)
+     sub-millisecond pages, where per-item dispatch once cost more than
+     the parallelism bought (speedup_j4 was 0.53 with per-item deque
+     slots and a steal per item).  Claiming an item is one cursor bump
+     and a steal takes half a range, so jobs=4 must hold at least
+     parity. *)
   let tiny =
     List.init 3100 (fun _ ->
         Pagegen.generate rng
           { Pagegen.default_profile with Pagegen.product_rows = 2 })
   in
   let tiny_n = List.length tiny in
-  Printf.printf "\ntiny corpus: %d sub-ms pages (cost-aware chunking regime)\n"
+  Printf.printf "\ntiny corpus: %d sub-ms pages (per-item dispatch regime)\n"
     tiny_n;
   let tiny_rows =
     scale tiny (Wrapper.extract_batch ~jobs:1 w tiny) [ 1; 4 ]
@@ -939,13 +940,12 @@ let e14 () =
                 ("items", Int pool.Pool.items);
                 ("steals", Int pool.Pool.steals);
                 ("chunks", Int pool.Pool.chunks);
-                ("seq_fallbacks", Int pool.Pool.seq_fallbacks);
               ] );
         ];
     (* The speedup gates assume a 4-core host (hosted CI runners): the
        skewed corpus scales by at least 1.5x at jobs=4, and the tiny one
-       no longer inverts.  Zero steals would mean the deques degenerated
-       to static chunking. *)
+       no longer inverts.  Zero steals would mean no range was ever
+       split: the deques degenerated to static chunking. *)
     gates =
       [
         ("identical", identical rows);

@@ -237,6 +237,4 @@ let find_elements name doc =
     (function Element { name; _ } -> name = uname | Text _ | Comment _ -> false)
     doc
 
-let count_nodes doc = fold (fun n _ _ -> n + 1) 0 doc
-
 let equal (a : doc) (b : doc) = a = b

@@ -59,5 +59,4 @@ val find_all : (node -> bool) -> doc -> (path * node) list
 val find_elements : string -> doc -> (path * node) list
 (** All elements with the given (case-insensitive) tag name. *)
 
-val count_nodes : doc -> int
 val equal : doc -> doc -> bool

@@ -366,9 +366,8 @@ module Histogram = struct
       buckets = Array.map Atomic.get t.buckets;
     }
 
-  (* Mean duration over the snapshot, 0 when empty — the read-back
-     entry point for consumers (the Cost estimator) that must not
-     divide by a live count.  total_ns can wrap under adversarial
+  (* Mean duration over the snapshot, 0 when empty, so consumers
+     never divide by a live count.  total_ns can wrap under adversarial
      observe values; a wrapped (negative) mean is clamped to 0 rather
      than surfaced. *)
   let mean_ns (s : snapshot) =

@@ -39,9 +39,9 @@ val enabled : unit -> bool
 
 val now_ns : unit -> int
 (** Nanoseconds since process start (the span clock), exposed so
-    runtime-side consumers (the {!Pool} cost estimator) can time work
-    units without growing their own [Unix] dependency, and so
-    {!Guard} deadlines share the span clock.  Monotonic: differences
+    runtime-side consumers can time work without growing their own
+    [Unix] dependency, and so {!Guard} deadlines share the span
+    clock.  Monotonic: differences
     are never negative. *)
 
 (** {1 Packed hit/miss pairs}

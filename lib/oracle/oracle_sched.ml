@@ -72,6 +72,29 @@ let tests ~count =
                 | _ -> false
                 | exception Failure msg -> msg = string_of_int first)
               job_counts);
+    QCheck.Test.make ~count ~name:"pool: every index runs exactly once"
+      QCheck.(
+        quad (int_range 0 300) (int_range 1 8) bool
+          (small_list (int_range 0 299)))
+      (fun (n, jobs, giants_first, giants) ->
+        (* Giants cost ~10^5 loop steps and the other items nothing,
+           so participants drain unevenly and ranges get split while a
+           giant holds its claimer.  Giants-first puts every giant in
+           participant 0's seeded range. *)
+        let giants =
+          if giants_first then List.init (min n 6) Fun.id
+          else List.filter (fun g -> g < n) giants
+        in
+        let hits = Array.init n (fun _ -> Atomic.make 0) in
+        let heavy = Array.make n false in
+        List.iter (fun g -> heavy.(g) <- true) giants;
+        Pool.run ~participants:jobs n (fun i ->
+            if heavy.(i) then
+              for _ = 1 to 200 do
+                ignore (Sys.opaque_identity (skewed_cost 27))
+              done;
+            Atomic.incr hits.(i));
+        Array.for_all (fun c -> Atomic.get c = 1) hits);
     QCheck.Test.make ~count
       ~name:"pool: items counter advances by the batch size"
       QCheck.(list_of_size Gen.(2 -- 40) small_int)
@@ -79,117 +102,8 @@ let tests ~count =
         let before = (Pool.stats ()).Pool.items in
         ignore (Batch.map_isolated ~jobs:4 skewed_cost xs);
         let after = (Pool.stats ()).Pool.items in
-        (* jobs=4 over >= 2 items is always counted: either pooled or
-           the counted sequential fallback, never the silent bypass *)
+        (* jobs=4 over >= 2 items always takes the pooled path *)
         after - before = List.length xs);
-    QCheck.Test.make ~count
-      ~name:"chunking: Auto ≡ Items 1 ≡ Items 3 ≡ List.map under skew"
-      QCheck.(list small_int)
-      (fun xs ->
-        let expect = List.map skewed_cost xs in
-        List.for_all
-          (fun jobs ->
-            List.for_all
-              (fun chunk -> Batch.map ~jobs ~chunk skewed_cost xs = expect)
-              [ Pool.Auto; Pool.Items 1; Pool.Items 3 ])
-          job_counts);
-    QCheck.Test.make ~count
-      ~name:"chunking: plan is a contiguous in-order partition of 0..n"
-      QCheck.(pair (int_range 1 64) (list (int_range 0 50)))
-      (fun (target, costs) ->
-        let costs = Array.of_list costs in
-        let n = Array.length costs in
-        let plan = Cost.plan ~target costs in
-        (* every index covered exactly once, in increasing order *)
-        let next = ref 0 and ok = ref true in
-        Array.iter
-          (fun (lo, hi) ->
-            if lo <> !next || hi <= lo then ok := false;
-            next := hi)
-          plan;
-        !ok && !next = n);
-    QCheck.Test.make ~count
-      ~name:"chunking: giants stay singleton and the plan is deterministic"
-      QCheck.(pair (int_range 1 64) (list (int_range 0 200)))
-      (fun (target, costs) ->
-        let costs = Array.of_list costs in
-        let plan = Cost.plan ~target costs in
-        plan = Cost.plan ~target costs
-        && Array.for_all
-             (fun (lo, hi) ->
-               hi - lo = 1
-               || Seq.for_all
-                    (fun i -> costs.(i) < target)
-                    (Seq.init (hi - lo) (fun k -> lo + k)))
-             plan);
-    QCheck.Test.make ~count
-      ~name:
-        "chunking: faults poison exactly their cells across chunk boundaries"
-      QCheck.(list small_int)
-      (fun xs ->
-        let faulted =
-          xs
-          |> List.mapi (fun i x -> (i, x))
-          |> List.filter (fun (_, x) -> x mod 3 = 0)
-          |> List.map fst
-        in
-        let clean = List.map (fun x -> Ok (skewed_cost x)) xs in
-        with_faults Guard_faults.Batch_item ~at:faulted (fun () ->
-            List.for_all
-              (fun jobs ->
-                List.for_all
-                  (fun chunk ->
-                    let got =
-                      Batch.map_isolated ~jobs ~chunk skewed_cost xs
-                    in
-                    List.length got = List.length clean
-                    && List.for_all2
-                         (fun i (g, c) ->
-                           if List.mem i faulted then Result.is_error g
-                           else g = c)
-                         (List.mapi (fun i _ -> i) xs)
-                         (List.combine got clean))
-                  [ Pool.Auto; Pool.Items 1; Pool.Items 4 ])
-              job_counts));
-    QCheck.Test.make ~count
-      ~name:"chunking: first-in-order error survives every chunk policy"
-      QCheck.(list small_int)
-      (fun xs ->
-        let f x = if x land 1 = 1 then failwith (string_of_int x) else x in
-        let policies = [ Pool.Auto; Pool.Items 2 ] in
-        match List.find_opt (fun x -> x land 1 = 1) xs with
-        | None ->
-            List.for_all
-              (fun jobs ->
-                List.for_all
-                  (fun chunk -> Batch.map ~jobs ~chunk f xs = xs)
-                  policies)
-              job_counts
-        | Some first ->
-            List.for_all
-              (fun jobs ->
-                List.for_all
-                  (fun chunk ->
-                    match Batch.map ~jobs ~chunk f xs with
-                    | _ -> false
-                    | exception Failure msg -> msg = string_of_int first)
-                  policies)
-              job_counts);
-    QCheck.Test.make ~count
-      ~name:"chunking: sub-break-even batches fall back sequentially"
-      QCheck.(list_of_size Gen.(0 -- 10) small_int)
-      (fun xs ->
-        (* A cold estimator prices n <= 10 trivial items far below the
-           1 ms break-even target, so jobs=4 must degrade to the
-           counted sequential fallback — same results, no pool wakeup,
-           and the fallback counter advancing by exactly one (zero for
-           n < 2, where the uncounted participants<=1 bypass wins). *)
-        Cost.reset ();
-        let before = (Pool.stats ()).Pool.seq_fallbacks in
-        let got = Batch.map ~jobs:4 skewed_cost xs in
-        let after = (Pool.stats ()).Pool.seq_fallbacks in
-        got = List.map skewed_cost xs
-        && after - before = if List.length xs >= 2 then 1 else 0);
     QCheck.Test.make ~count
       ~name:"matcher: scratch fast path ≡ fresh bitset ≡ splits reference"
       (Oracle_gen.arb_extraction_word_case ())

@@ -5,14 +5,9 @@
     count; these properties attack that claim where it is most likely
     to break — cost-skewed items (stealing engages), injected per-item
     faults, the first-error-in-input-order raising contract, and the
-    stats accounting.  The granularity layer is attacked the same way:
-    chunked execution ([Auto] planning and fixed [Items n] overrides)
-    must be observationally identical to per-item scheduling and to
-    [List.map] — including fault isolation and error ordering across
-    chunk boundaries — the pure {!Cost.plan} must always produce a
-    contiguous in-order partition with giants singleton, and
-    sub-break-even batches must take the counted sequential fallback
-    without changing results.  The matcher's per-domain scratch fast path is
+    stats accounting — and check that every index runs exactly once,
+    which result equality alone cannot see (an item run twice writes
+    the same cell twice).  The matcher's per-domain scratch fast path is
     cross-checked against its allocating reference
     ({!Oracle_ref.matcher_splits_fresh}) and the quadratic
     {!Extraction.splits} specification, including from inside pool

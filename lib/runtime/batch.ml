@@ -1,13 +1,5 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-let chunk_bounds ~jobs n =
-  let jobs = max 1 (min jobs n) in
-  let base = n / jobs and extra = n mod jobs in
-  Array.init jobs (fun c ->
-      let lo = (c * base) + min c extra in
-      let hi = lo + base + if c < extra then 1 else 0 in
-      (lo, hi))
-
 (* Evaluate one item in isolation: whatever the application raises —
    a worker bug, an injected fault, a Guard.Exhausted from a per-item
    budget — becomes this item's Error cell and the worker moves on to
@@ -26,34 +18,31 @@ let eval_item f i x =
    identical for every job count — the pool only decides which domain
    executes which index, never what lands where.  eval_item never
    raises, which is the pool's run_item contract. *)
-let run_isolated ~jobs ?cost ?chunk f arr =
+let run_isolated ~jobs f arr =
   let n = Array.length arr in
   let jobs = max 1 (min jobs n) in
   if jobs <= 1 then Array.mapi (fun i x -> eval_item f i x) arr
   else begin
     let results = Array.make n (Error Exit) in
-    (* per-item relative weights for the Auto planner; purely a
-       scheduling hint, never part of the result *)
-    let costs = Option.map (fun h -> Array.map h arr) cost in
-    Pool.run ?costs ?chunk ~participants:jobs n (fun i ->
+    Pool.run ~participants:jobs n (fun i ->
         results.(i) <- eval_item f i arr.(i));
     results
   end
 
-let map_isolated ?jobs ?cost ?chunk f xs =
+let map_isolated ?jobs f xs =
   let jobs =
     match jobs with Some j -> max 1 j | None -> recommended_jobs ()
   in
-  let results = run_isolated ~jobs ?cost ?chunk f (Array.of_list xs) in
+  let results = run_isolated ~jobs f (Array.of_list xs) in
   Array.to_list
     (Array.map
        (function Ok v -> Ok v | Error e -> Error (Printexc.to_string e))
        results)
 
-let map ?jobs ?cost ?chunk f xs =
+let map ?jobs f xs =
   let jobs =
     match jobs with Some j -> max 1 j | None -> recommended_jobs ()
   in
-  let results = run_isolated ~jobs ?cost ?chunk f (Array.of_list xs) in
+  let results = run_isolated ~jobs f (Array.of_list xs) in
   Array.iter (function Error e -> raise e | Ok _ -> ()) results;
   Array.to_list (Array.map (function Ok v -> v | Error _ -> assert false) results)

@@ -2,9 +2,9 @@
 
     A thin client of the persistent work-stealing pool ({!Pool}): the
     input list is seeded into per-participant deques as [jobs]
-    contiguous ranges, and participants that drain their range steal
-    from the others — so a skewed or adversarial item delays only
-    itself, not the rest of a static chunk.  Worker domains persist
+    contiguous ranges, and participants that drain their range split
+    the others' — so a skewed or adversarial item delays only itself,
+    not the rest of a static chunk.  Worker domains persist
     across calls; no [Domain.spawn] happens per batch after the first.
     Results are written to per-index cells and come back in input
     order, so output is bit-identical for every job count and every
@@ -26,45 +26,20 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the default parallelism. *)
 
 val map_isolated :
-  ?jobs:int ->
-  ?cost:('a -> int) ->
-  ?chunk:Pool.chunking ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, string) result list
+  ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, string) result list
 (** [map_isolated ~jobs f xs] — [f] over every item, one result cell
     per item in input order: [Ok (f x)] normally, [Error exn_string]
     when that application raised (the exception rendered with
     [Printexc], so {!Guard.Exhausted} and {!Guard_faults.Injected}
     cells read deterministically).  A poisoned item affects only its
     own cell: every other item still completes, and the output is
-    byte-identical for every [jobs] value, every [chunk] policy, and
-    every [cost] hint.
+    byte-identical for every [jobs] value and every schedule. *)
 
-    [cost] maps an item to a {e relative} weight (node count, byte
-    size) for the pool's [Auto] chunk planner; [chunk] overrides the
-    planner (see {!Pool.chunking}).  Both are scheduling hints only:
-    they never change results, isolation, or error ordering. *)
-
-val map :
-  ?jobs:int ->
-  ?cost:('a -> int) ->
-  ?chunk:Pool.chunking ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] = [List.map f xs], evaluated on up to [jobs]
     domains.  [jobs] defaults to {!recommended_jobs}; values [<= 1] (in
     particular on single-core hosts, where the recommendation is 1)
     run sequentially.  If any application raises, the first failing
     item's exception {e in input order} is re-raised after every item
     has been evaluated — the job count never changes which exception
-    surfaces, and neither do [cost]/[chunk] (scheduling hints, as in
-    {!map_isolated}). *)
-
-val chunk_bounds : jobs:int -> int -> (int * int) array
-(** [chunk_bounds ~jobs n] — the [(lo, hi)] half-open index ranges the
-    per-participant deques are {e seeded} with (work stealing can move
-    items between participants afterwards), exposed for tests: ranges
-    partition [0..n), are contiguous, and differ in size by at most
-    one. *)
+    surfaces. *)

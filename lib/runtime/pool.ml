@@ -1,66 +1,71 @@
-(* Persistent work-stealing domain pool, granularity-aware.
+(* Persistent work-stealing domain pool, scheduled by range splitting.
 
    One set of worker domains is spawned lazily on first parallel batch
    and reused for every batch after it — the Domain.spawn/join cost
    that made per-call chunking slower at jobs=4 than jobs=1 (E12) is
    paid once per process, not once per batch.
 
-   Scheduling is over *work units*, not raw items: the Cost planner
-   groups small items into contiguous chunks worth roughly a
-   break-even budget of wall time, so per-unit dispatch (a CAS claim,
-   possibly a steal) is amortized over enough work to win — the E14
-   inversion (jobs=4 slower than jobs=1 on ~0.2 ms pages) was exactly
-   this dispatch cost paid per item.  Items at or above the break-even
-   cost stay singleton units, so the PR-4 skew tolerance survives: an
-   adversarial giant delays only its claimer, never a merged chunk.
-   Units are seeded into per-participant deques as contiguous ranges; a
-   participant that drains its own range steals from the back of the
-   others.
+   Scheduling is lazy binary splitting (Tzannes et al., PPoPP 2010):
+   each participant is seeded with a contiguous range of item indices
+   and claims them one at a time from the front; an idle participant
+   splits a victim's range in half and takes the back half into its
+   own deque, where it can be split again.  Matching is linear in the
+   page (Lemma 5.2), so no cost prediction is needed: an item costs one
+   cursor bump, and a giant delays only its claimer while the others
+   split what is left. *)
 
-   When the whole batch plans below break-even (a single unit), the
-   pool degrades to a counted sequential run on the submitter: same
-   results, same stats visibility, none of the wakeup cost. *)
-
-(* A deque over a fixed unit-index range [lo, hi).  No units are ever
-   pushed after creation (batches do not spawn work), so the deque is
-   just two cursors moving toward each other, packed into one Atomic
-   int (front in the high bits, back in the low bits) so a claim is a
-   single CAS and every unit is claimed exactly once.  Ranges are
+(* A deque over a range of item indices [front, back), packed into one
+   Atomic int (front in the high bits, back in the low bits) so every
+   claim and every split is a single CAS.  The owner claims the front
+   item; a thief moves the back cursor down to the midpoint and takes
+   [mid, back).  Only the owner refills a deque, and only while it is
+   empty, with the range it just stole.  ABA cannot bite: unclaimed
+   indices sit in exactly one deque (or in one thief's hands), so a
+   packed value [front, back) with front < back names exactly the
+   indices that deque holds now, whatever happened in between, and a
+   CAS that finds an equal value is a correct claim.  Ranges are
    bounded by the batch size, far below the 2^31 cursor ceiling. *)
 module Deque = struct
   type t = int Atomic.t
 
   let cursor_bits = 31
   let mask = (1 lsl cursor_bits) - 1
-  let make ~lo ~hi : t = Atomic.make ((lo lsl cursor_bits) lor hi)
+  let pack lo hi = (lo lsl cursor_bits) lor hi
+  let make ~lo ~hi : t = Atomic.make (pack lo hi)
+
+  (* owner only, and only while the deque is empty *)
+  let install (t : t) ~lo ~hi = Atomic.set t (pack lo hi)
+
+  let is_empty (t : t) =
+    let s = Atomic.get t in
+    s lsr cursor_bits >= s land mask
 
   (* owner end *)
   let rec take_front (t : t) =
     let s = Atomic.get t in
     let f = s lsr cursor_bits and b = s land mask in
     if f >= b then None
-    else if Atomic.compare_and_set t s (((f + 1) lsl cursor_bits) lor b) then
-      Some f
+    else if Atomic.compare_and_set t s (pack (f + 1) b) then Some f
     else take_front t
 
-  (* thief end *)
-  let rec steal_back (t : t) =
+  (* thief end: the back half, at least one item *)
+  let rec steal_half (t : t) =
     let s = Atomic.get t in
     let f = s lsr cursor_bits and b = s land mask in
     if f >= b then None
-    else if Atomic.compare_and_set t s ((f lsl cursor_bits) lor (b - 1)) then
-      Some (b - 1)
-    else steal_back t
+    else
+      let mid = f + ((b - f) / 2) in
+      if Atomic.compare_and_set t s (pack f mid) then Some (mid, b)
+      else steal_half t
 end
 
-type chunking = Auto | Items of int
-
 type job = {
-  deques : Deque.t array; (* one per participant, over unit indices *)
-  plan : (int * int) array; (* unit u covers item indices [lo, hi) *)
+  deques : Deque.t array; (* one per participant, over item indices *)
   participants : int;
   run_item : int -> unit; (* contract: must not raise *)
-  remaining : int Atomic.t; (* units not yet executed *)
+  remaining : int Atomic.t; (* items not yet executed *)
+  in_flight : int Atomic.t; (* steals between their CAS and install *)
+  stolen : int Atomic.t; (* ranges installed by thieves *)
   done_m : Mutex.t;
   done_cv : Condition.t;
   obs_parent : Obs.Span.t;
@@ -97,7 +102,6 @@ let batches_c = Atomic.make 0
 let items_c = Atomic.make 0
 let steals_c = Atomic.make 0
 let chunks_c = Atomic.make 0
-let seq_fallbacks_c = Atomic.make 0
 
 type stats = {
   workers : int;
@@ -105,7 +109,6 @@ type stats = {
   items : int;
   steals : int;
   chunks : int;
-  seq_fallbacks : int;
 }
 
 let stats () =
@@ -115,15 +118,13 @@ let stats () =
     items = Atomic.get items_c;
     steals = Atomic.get steals_c;
     chunks = Atomic.get chunks_c;
-    seq_fallbacks = Atomic.get seq_fallbacks_c;
   }
 
 let reset_stats () =
   Atomic.set batches_c 0;
   Atomic.set items_c 0;
   Atomic.set steals_c 0;
-  Atomic.set chunks_c 0;
-  Atomic.set seq_fallbacks_c 0
+  Atomic.set chunks_c 0
 
 let pp_stats ppf s =
   Format.fprintf ppf "pool stats:@.";
@@ -131,8 +132,7 @@ let pp_stats ppf s =
     s.batches;
   Format.fprintf ppf "  %-12s %8d  %-12s %8d@." "items" s.items "steals"
     s.steals;
-  Format.fprintf ppf "  %-12s %8d  %-12s %8d@." "chunks" s.chunks
-    "seq-fallbacks" s.seq_fallbacks
+  Format.fprintf ppf "  %-12s %8d@." "chunks" s.chunks
 
 (* Counter-wise window between two snapshots; [workers] is a gauge,
    not a counter, so the later value is kept as-is. *)
@@ -144,7 +144,6 @@ let delta_stats ~earlier later =
     items = d earlier.items later.items;
     steals = d earlier.steals later.steals;
     chunks = d earlier.chunks later.chunks;
-    seq_fallbacks = d earlier.seq_fallbacks later.seq_fallbacks;
   }
 
 (* --- the scheduler --- *)
@@ -155,52 +154,74 @@ let delta_stats ~earlier later =
 let in_worker : bool ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref false)
 
-let finish_unit j =
-  (* last decrement wakes the submitter *)
-  if Atomic.fetch_and_add j.remaining (-1) = 1 then begin
-    Mutex.lock j.done_m;
-    Condition.broadcast j.done_cv;
-    Mutex.unlock j.done_m
+(* [k] items of one range executed: the last decrement wakes the
+   submitter.  Counting per range, not per item, keeps the shared
+   counters off the per-item path. *)
+let finish j k =
+  if k > 0 then begin
+    ignore (Atomic.fetch_and_add items_c k);
+    if Atomic.fetch_and_add j.remaining (-k) <= k then begin
+      Mutex.lock j.done_m;
+      Condition.broadcast j.done_cv;
+      Mutex.unlock j.done_m
+    end
   end
 
-let execute j u =
-  (* run one work unit: every item in its contiguous range, each under
-     its own handler — run_item must not raise (Batch captures
-     per-item exceptions below this layer), but if it somehow does the
-     rest of the unit still runs and the unit still counts as executed,
-     or the submitter would wait forever.  The unit's wall time feeds
-     the cost estimator, so granularity self-corrects batch over
-     batch. *)
-  let lo, hi = j.plan.(u) in
-  let t0 = Obs.now_ns () in
-  for i = lo to hi - 1 do
-    try j.run_item i with _ -> ()
-  done;
-  Cost.observe ~items:(hi - lo) ~total_ns:(Obs.now_ns () - t0);
-  ignore (Atomic.fetch_and_add items_c (hi - lo));
-  Atomic.incr chunks_c;
-  finish_unit j
+(* Participant p: claim items from the front of the own deque, each
+   under its own handler (run_item must not raise — Batch captures
+   per-item exceptions below this layer — but if it somehow does, the
+   item still counts as executed, or the submitter would wait
+   forever).  Once the deque is dry, steal half of the first non-empty
+   victim's range (scanning from the right neighbour), install it and
+   drain it the same way.
 
-(* Participant p: drain the own deque from the front, then steal from
-   the back of the others (round-robin from the right neighbour,
-   staying on a victim until it dries).  All deques empty means every
-   unit has been claimed — nothing left to do for this participant. *)
+   A participant leaves only when every index has been claimed.  A
+   stolen range is invisible between the thief's CAS and its install,
+   so a thief bumps [in_flight] before its CAS and drops it after the
+   install, and bumps [stolen] on install.  A scan that finds every
+   deque empty, then reads [in_flight] = 0 and [stolen] unchanged since
+   the scan began, has seen all the work: an index still unclaimed at
+   the [in_flight] read is in some deque, the scan saw that deque
+   empty, so a thief installed it since — and that thief's [stolen]
+   bump came before its [in_flight] drop, hence before the read.
+   Otherwise the scan repeats; the window it waits on is a few
+   instructions of another participant. *)
 let work j p =
   let dq = j.deques.(p) in
-  let rec own () =
+  let rec drain k =
     match Deque.take_front dq with
-    | Some u ->
-        execute j u;
-        own ()
-    | None -> scan 1
-  and scan k =
-    if k < j.participants then
-      match Deque.steal_back j.deques.((p + k) mod j.participants) with
-      | Some u ->
-          Atomic.incr steals_c;
-          execute j u;
-          scan k
-      | None -> scan (k + 1)
+    | Some i ->
+        (try j.run_item i with _ -> ());
+        drain (k + 1)
+    | None ->
+        finish j k;
+        scan ()
+  and scan () =
+    let seen = Atomic.get j.stolen in
+    match steal 1 with
+    | Some (lo, hi) ->
+        Deque.install dq ~lo ~hi;
+        Atomic.incr j.stolen;
+        Atomic.decr j.in_flight;
+        drain 0
+    | None ->
+        if Atomic.get j.in_flight > 0 || Atomic.get j.stolen <> seen then begin
+          Domain.cpu_relax ();
+          scan ()
+        end
+  and steal k =
+    if k >= j.participants then None
+    else
+      let victim = j.deques.((p + k) mod j.participants) in
+      if Deque.is_empty victim then steal (k + 1)
+      else begin
+        Atomic.incr j.in_flight;
+        match Deque.steal_half victim with
+        | Some _ as r -> r
+        | None ->
+            Atomic.decr j.in_flight;
+            steal (k + 1)
+      end
   in
   let flag = Domain.DLS.get in_worker in
   flag := true;
@@ -210,7 +231,7 @@ let work j p =
     ~finally:(fun () ->
       Obs.Span.set_ambient saved_ambient;
       flag := false)
-    (fun () -> own ())
+    (fun () -> drain 0)
 
 let rec worker_loop w last_gen =
   Mutex.lock pool.m;
@@ -259,37 +280,7 @@ let ensure_workers k =
 
 let max_participants = max 16 (Domain.recommended_domain_count ())
 
-let sequential n run_item =
-  for i = 0 to n - 1 do
-    run_item i
-  done
-
-(* The unit partition for a batch.  [Items k] is the manual override:
-   fixed-size blocks of [k] ([Items 1] reproduces the PR-4 per-item
-   scheduling exactly).  [Auto] scales the caller's relative weights
-   (or a uniform vector) by the current per-item estimate and plans to
-   the break-even target — giants come out singleton, small items come
-   out grouped. *)
-let make_plan ~chunk ~costs n =
-  match chunk with
-  | Items k ->
-      if k < 1 then invalid_arg "Pool.run: chunk item count must be >= 1";
-      let units = (n + k - 1) / k in
-      Array.init units (fun u -> (u * k, min n ((u + 1) * k)))
-  | Auto ->
-      let estimate = Cost.estimate_ns () in
-      let cost_ns =
-        match costs with
-        | Some w -> Cost.scale_weights ~estimate w
-        | None -> Array.make n estimate
-      in
-      Cost.plan ~target:(Cost.target_ns ()) cost_ns
-
-let run ?costs ?(chunk = Auto) ~participants n run_item =
-  (match costs with
-  | Some w when Array.length w <> n ->
-      invalid_arg "Pool.run: costs length must equal the item count"
-  | _ -> ());
+let run ~participants n run_item =
   if n > 0 then begin
     let participants = min (min participants n) max_participants in
     if
@@ -297,83 +288,67 @@ let run ?costs ?(chunk = Auto) ~participants n run_item =
       || !(Domain.DLS.get in_worker)
       || n >= Deque.mask
       || not (Mutex.try_lock pool.submit)
-    then sequential n run_item
+    then
+      for i = 0 to n - 1 do
+        run_item i
+      done
     else
       Fun.protect
         ~finally:(fun () -> Mutex.unlock pool.submit)
         (fun () ->
-          let plan = make_plan ~chunk ~costs n in
-          let units = Array.length plan in
-          if units < 2 then begin
-            (* Below break-even: the whole batch is one work unit, so
-               waking workers would cost more than it buys.  Run it on
-               the submitter — counted (stats and the Batch_run span
-               still see the batch) and timed (the estimator still
-               learns), unlike the uncounted guard paths above. *)
+          ensure_workers (participants - 1);
+          let sp = Obs.Span.enter Obs.Span.Batch_run in
+          try
+            (* contiguous seeding, sizes differing by at most one: the
+               deques only change who executes an index, never which
+               result cell it writes to *)
+            let base = n / participants and extra = n mod participants in
+            let deques =
+              Array.init participants (fun c ->
+                  let lo = (c * base) + min c extra in
+                  Deque.make ~lo ~hi:(lo + base + if c < extra then 1 else 0))
+            in
+            let job =
+              {
+                deques;
+                participants;
+                run_item;
+                remaining = Atomic.make n;
+                in_flight = Atomic.make 0;
+                stolen = Atomic.make 0;
+                done_m = Mutex.create ();
+                done_cv = Condition.create ();
+                obs_parent = sp;
+              }
+            in
             Atomic.incr batches_c;
-            Atomic.incr seq_fallbacks_c;
-            ignore (Atomic.fetch_and_add items_c n);
-            let sp = Obs.Span.enter Obs.Span.Batch_run in
-            try
-              let t0 = Obs.now_ns () in
-              for i = 0 to n - 1 do
-                try run_item i with _ -> ()
-              done;
-              Cost.observe ~items:n ~total_ns:(Obs.now_ns () - t0);
-              Obs.Span.exit_n sp n
-            with e ->
-              Obs.Span.fail sp;
-              raise e
-          end
-          else begin
-            let participants = min participants units in
-            ensure_workers (participants - 1);
-            let sp = Obs.Span.enter Obs.Span.Batch_run in
-            try
-              (* same contiguous seeding as the old per-item deques,
-                 over unit indices — the deques only change who
-                 finishes a range, never which result index an item
-                 writes to *)
-              let base = units / participants
-              and extra = units mod participants in
-              let deques =
-                Array.init participants (fun c ->
-                    let lo = (c * base) + min c extra in
-                    let hi = lo + base + if c < extra then 1 else 0 in
-                    Deque.make ~lo ~hi)
-              in
-              let job =
-                {
-                  deques;
-                  plan;
-                  participants;
-                  run_item;
-                  remaining = Atomic.make units;
-                  done_m = Mutex.create ();
-                  done_cv = Condition.create ();
-                  obs_parent = sp;
-                }
-              in
-              Atomic.incr batches_c;
-              Mutex.lock pool.m;
-              pool.current <- Some job;
-              pool.gen <- pool.gen + 1;
-              Condition.broadcast pool.cv;
-              Mutex.unlock pool.m;
-              (* the submitter is participant 0: it works too, so a
-                 batch always completes even if every worker is
-                 lagging *)
-              work job 0;
-              Mutex.lock job.done_m;
-              while Atomic.get job.remaining > 0 do
-                Condition.wait job.done_cv job.done_m
-              done;
-              Mutex.unlock job.done_m;
-              Obs.Span.exit_n sp n
-            with e ->
-              Obs.Span.fail sp;
-              raise e
-          end)
+            Mutex.lock pool.m;
+            pool.current <- Some job;
+            pool.gen <- pool.gen + 1;
+            Condition.broadcast pool.cv;
+            Mutex.unlock pool.m;
+            (* the submitter is participant 0: it works too, so a batch
+               always completes even if every worker is lagging *)
+            work job 0;
+            Mutex.lock job.done_m;
+            while Atomic.get job.remaining > 0 do
+              Condition.wait job.done_cv job.done_m
+            done;
+            Mutex.unlock job.done_m;
+            (* A thief may still be between its install and its
+               [in_flight] drop (its range drained by another thief);
+               no steal can start once every index is claimed, so
+               [stolen] is final when [in_flight] reads 0. *)
+            while Atomic.get job.in_flight > 0 do
+              Domain.cpu_relax ()
+            done;
+            let stolen = Atomic.get job.stolen in
+            ignore (Atomic.fetch_and_add steals_c stolen);
+            ignore (Atomic.fetch_and_add chunks_c (participants + stolen));
+            Obs.Span.exit_n sp n
+          with e ->
+            Obs.Span.fail sp;
+            raise e)
   end
 
 let size () = pool.n_workers
@@ -390,5 +365,4 @@ let () =
           ("items", Int s.items);
           ("steals", Int s.steals);
           ("chunks", Int s.chunks);
-          ("seq_fallbacks", Int s.seq_fallbacks);
         ])

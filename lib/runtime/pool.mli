@@ -1,4 +1,4 @@
-(** Persistent work-stealing domain pool, granularity-aware.
+(** Persistent work-stealing domain pool, scheduled by range splitting.
 
     The scheduler under {!Batch}: worker domains are spawned lazily on
     the first parallel batch and then {e reused} for every later batch,
@@ -6,49 +6,26 @@
     executor (which made jobs=4 slower than jobs=1 on small batches,
     see E12) is paid once per process.
 
-    Scheduling: the index range [0..n) is first partitioned into
-    contiguous {e work units} by the {!Cost} planner — small items are
-    grouped until a unit is worth roughly the break-even wall time
-    ({!Cost.target_ns}), while any item estimated at or above
-    break-even stays a singleton unit (skew tolerance: an adversarial
-    giant delays only its claimer, never a merged chunk).  The units
-    are seeded into one deque per participant as contiguous ranges;
-    each participant pops its own deque from the front, and when it
-    runs dry it steals units from the {e back} of the other deques.
-    Executed units feed their wall time back into the estimator, so
-    granularity self-corrects batch over batch.  A batch that plans to
-    a single unit (total cost below break-even) runs sequentially on
-    the submitter instead of waking workers — counted in {!stats} as a
-    [seq_fallbacks], with results identical to the pooled schedule.
+    Scheduling: the index range [0..n) is seeded into one deque per
+    participant as contiguous ranges.  Each participant claims items
+    one at a time from the front of its own range; when it runs dry it
+    splits another participant's range and takes the back half, which
+    it can lose half of again in turn (lazy binary splitting).  No cost
+    estimate is made: a giant item delays only its claimer while the
+    others split what is left.
 
-    Determinism: which participant {e executes} a unit is scheduling-
+    Determinism: which participant {e executes} an index is scheduling-
     dependent, but items are identified by index and callers write
     results to per-index cells, so batch {e results} are independent of
-    the schedule {e and} of the plan.  The pool never reorders, drops,
-    or duplicates an index: the plan is a partition of [0..n) and every
-    unit is claimed exactly once (a single CAS per claim).
+    the schedule.  The pool never reorders, drops, or duplicates an
+    index: every index is claimed exactly once (a single CAS per claim).
 
     Nesting and re-entrancy: a [run] issued from inside a pool item
     (nested batch) or while another domain holds the pool runs the
     items sequentially in the caller — correct, just not extra-parallel
     — so the pool cannot deadlock on itself. *)
 
-type chunking =
-  | Auto
-      (** Plan work units from the cost estimator and the optional
-          per-item weights (the default). *)
-  | Items of int
-      (** Fixed units of exactly this many items (last unit may be
-          smaller).  [Items 1] reproduces per-item scheduling; values
-          [< 1] raise [Invalid_argument]. *)
-
-val run :
-  ?costs:int array ->
-  ?chunk:chunking ->
-  participants:int ->
-  int ->
-  (int -> unit) ->
-  unit
+val run : participants:int -> int -> (int -> unit) -> unit
 (** [run ~participants n f] — execute [f i] for every [i] in [0..n),
     across up to [participants] domains (the caller plus up to
     [participants - 1] pool workers; capped by the machine's
@@ -57,19 +34,10 @@ val run :
     raise}: an escaping exception is swallowed (the item still counts
     as executed) — callers that need per-item failures capture them
     into result cells, as {!Batch} does.  [participants <= 1] (or
-    [n <= 1]) runs sequentially without touching the pool.
-
-    [costs] gives per-item {e relative} weights (any unit: node
-    counts, byte sizes) used by [Auto] planning to group cheap items
-    and isolate expensive ones; it must have length [n] (else
-    [Invalid_argument]).  Without it, [Auto] plans uniform units from
-    the estimator alone.  [chunk] overrides planning; see
-    {!chunking}.  Neither parameter affects {e what} is computed —
-    only the work-unit boundaries. *)
+    [n <= 1]) runs sequentially without touching the pool. *)
 
 val size : unit -> int
-(** Worker domains currently alive (0 until the first pooled run —
-    batches that degrade to a sequential fallback spawn nothing). *)
+(** Worker domains currently alive (0 until the first pooled run). *)
 
 val shutdown : unit -> unit
 (** Join every worker domain and return the pool to its initial empty
@@ -80,19 +48,18 @@ val shutdown : unit -> unit
 (** {1 Statistics}
 
     Scheduler counters, aggregated over the process lifetime (or since
-    {!reset_stats}).  [steals] and [chunks] are scheduling- and
-    estimator-dependent and therefore {e not} deterministic across
-    runs — stats are for observability, never for results. *)
+    {!reset_stats}).  [steals] and [chunks] are scheduling-dependent
+    and therefore {e not} deterministic across runs — stats are for
+    observability, never for results. *)
 
 type stats = {
   workers : int;  (** persistent worker domains alive *)
-  batches : int;  (** batches accepted (pooled or counted fallback) *)
-  items : int;  (** items executed through pooled or fallback batches *)
-  steals : int;  (** units claimed from another participant's deque *)
-  chunks : int;  (** work units executed through the pooled path *)
-  seq_fallbacks : int;
-      (** batches that planned below break-even and ran sequentially
-          on the submitter *)
+  batches : int;  (** pooled batches *)
+  items : int;  (** items executed through pooled batches *)
+  steals : int;  (** ranges split off another participant's deque *)
+  chunks : int;
+      (** ranges executed: one seeded range per participant of each
+          pooled batch, plus every stolen half *)
 }
 
 val stats : unit -> stats

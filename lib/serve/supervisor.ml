@@ -331,7 +331,7 @@ let handle_batch t lines =
   in
   let n_groups = Array.length group_arr in
   if n_groups > 0 then
-    Pool.run ~chunk:(Pool.Items 1) ~participants:t.cfg.jobs n_groups run_group;
+    Pool.run ~participants:t.cfg.jobs n_groups run_group;
   (* dead sessions leave the table so their ids free up and drain
      skips them *)
   let dead =

@@ -178,10 +178,8 @@ let of_artifact a =
           strategy = None;
         }
 
-(* The batch fan-out both entry points share: [step] answers one item
-   and [cost] is its relative weight for the pool's chunk planner, so
-   giants plan as singleton units before they ever run. *)
-let map_batch ?jobs ?fuel ?deadline_ms ?(retries = 0) ~cost step items =
+(* The batch fan-out both entry points share: [step] answers one item. *)
+let map_batch ?jobs ?fuel ?deadline_ms ?(retries = 0) step items =
   let step =
     match (fuel, deadline_ms) with
     | None, None -> step
@@ -200,12 +198,10 @@ let map_batch ?jobs ?fuel ?deadline_ms ?(retries = 0) ~cost step items =
   in
   List.map
     (function Ok r -> r | Error msg -> Error (Worker_error msg))
-    (Batch.map_isolated ?jobs ~cost step items)
+    (Batch.map_isolated ?jobs step items)
 
-(* node count is the tree path's weight: page size is the best static
-   proxy for the linear-time matching cost (Lemma 5.2) *)
 let extract_batch ?jobs ?fuel ?deadline_ms ?retries t docs =
-  map_batch ?jobs ?fuel ?deadline_ms ?retries ~cost:Html_tree.count_nodes
+  map_batch ?jobs ?fuel ?deadline_ms ?retries
     (extract_compiled (compile t))
     docs
 
@@ -214,7 +210,4 @@ let extract_raw_batch ?jobs ?fuel ?deadline_ms ?retries t pages =
   (* force the token table on the submitting domain: workers must
      share one frozen table, not race to build their own *)
   ignore (Lazy.force c.c_front);
-  (* byte length is the raw-page analogue of the node-count weight: the
-     fused pass is linear in the input bytes *)
-  map_batch ?jobs ?fuel ?deadline_ms ?retries ~cost:String.length
-    (extract_raw c) pages
+  map_batch ?jobs ?fuel ?deadline_ms ?retries (extract_raw c) pages

@@ -118,9 +118,7 @@ val extract_batch :
     other item.  When [fuel] (and optionally [deadline_ms] / [retries])
     is given, each item runs under its own escalating {!Guard} budget
     and answers [Error (Exhausted_budget _)] when every attempt runs
-    out.  Each document's node count is its relative cost for the
-    pool's chunk planner, so cheap pages are grouped into break-even
-    work units and giant pages stay singleton units. *)
+    out. *)
 
 val extract_raw_batch :
   ?jobs:int ->
@@ -131,8 +129,6 @@ val extract_raw_batch :
   string list ->
   (Html_tree.path, extract_error) result list
 (** {!extract_batch} over raw HTML strings via the fused path
-    ({!extract_raw}): same isolation, budgeting, and order guarantees,
-    with byte length as the chunk planner's cost proxy (the fused pass
-    is linear in input bytes, Lemma 5.2's analogue).  The front-end
-    token table is forced before the fan-out so all domains share one
-    frozen table. *)
+    ({!extract_raw}): same isolation, budgeting, and order guarantees.
+    The front-end token table is forced before the fan-out so all
+    domains share one frozen table. *)

@@ -188,6 +188,8 @@ let test_histogram_bucket_edges () =
 
 let test_histogram_observe () =
   let h = Obs.Histogram.make () in
+  check_int "mean of an empty histogram is 0 (no division)" 0
+    (Obs.Histogram.mean_ns (Obs.Histogram.snapshot h));
   Obs.Histogram.observe h 1_000;
   Obs.Histogram.observe h 5_000;
   Obs.Histogram.observe h 5_000;

@@ -119,25 +119,6 @@ let test_cache_size_config () =
 
 (* --- batch executor --- *)
 
-let test_chunk_bounds () =
-  List.iter
-    (fun (jobs, n) ->
-      let bounds = Batch.chunk_bounds ~jobs n in
-      let covered = ref 0 in
-      Array.iteri
-        (fun i (lo, hi) ->
-          check_bool "ordered" true (lo <= hi);
-          if i > 0 then
-            check_int "contiguous" (snd bounds.(i - 1)) lo;
-          covered := !covered + (hi - lo))
-        bounds;
-      check_int (Printf.sprintf "jobs=%d n=%d partitions" jobs n) n !covered;
-      let sizes = Array.map (fun (lo, hi) -> hi - lo) bounds in
-      let mn = Array.fold_left min max_int sizes in
-      let mx = Array.fold_left max 0 sizes in
-      check_bool "balanced" true (mx - mn <= 1))
-    [ (1, 10); (3, 10); (4, 4); (4, 3); (7, 100) ]
-
 let test_batch_map () =
   let xs = List.init 37 Fun.id in
   let f x = (x * x) - 1 in
@@ -203,7 +184,6 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "chunk bounds partition" `Quick test_chunk_bounds;
           Alcotest.test_case "map ≡ List.map" `Quick test_batch_map;
           Alcotest.test_case "exceptions re-raise" `Quick test_batch_exception;
           Alcotest.test_case "wrapper extract_batch" `Quick
