@@ -2,26 +2,22 @@
 
     An extraction expression [E1⟨p⟩E2] is {e unambiguous} iff every
     parsed string has a unique split [α·p·β] with [α ∈ L(E1)],
-    [β ∈ L(E2)].  Two independent decision procedures are provided:
-
-    - {!is_ambiguous}: the quotient characterization of Prop 5.4 —
-      ambiguous iff [(E1·p)\E1 ∩ E2/(p·E2) ≠ ∅] (via Lemma 5.3);
-    - {!is_ambiguous_marker}: the fresh-marker characterization of
-      Prop 5.5 — ambiguous iff
-      [(E1·c·E2) ∩ (E1·p·E2[p → p|c]) ≠ ∅] over Σ ∪ {c}.
-
-    Both are polynomial (Thm 5.6); they are cross-checked against each
-    other and against a brute-force split-counting oracle in the tests. *)
+    [β ∈ L(E2)].  The test is the quotient characterization of
+    Prop 5.4: ambiguous iff [(E1·p)\E1 ∩ E2/(p·E2) ≠ ∅] (via
+    Lemma 5.3).  It is decided by reachability in the product of the
+    two sides' DFAs ({!Search}), without building either quotient:
+    polynomial, as Thm 5.6 says.  The oracle campaign holds it against
+    the canonical-language construction of both quotients and against
+    the fresh-marker characterization of Prop 5.5 ([Lang_ref]). *)
 
 val is_ambiguous : Extraction.t -> bool
 val is_unambiguous : Extraction.t -> bool
 
-val is_ambiguous_marker : Extraction.t -> bool
-(** The Prop 5.5 construction, implemented independently. *)
-
 val witness : Extraction.t -> Word.t option
-(** When ambiguous, a (short) parsed word admitting at least two splits,
-    built per Lemma 5.3 as [α·p·γ·p·β].  [None] iff unambiguous. *)
+(** When ambiguous, a parsed word admitting at least two splits, built
+    per Lemma 5.3 as [α·p·γ·p·β] from the length-lex least middle [γ],
+    then the length-lex least [α] and [β] that complete it.  [None] iff
+    unambiguous. *)
 
 (** {1 Budgeted variants}
 
@@ -41,8 +37,7 @@ val witness_bounded :
     Used by the synthesis algorithms, which manipulate languages
     directly. *)
 
-val ambiguous_core : Lang.t -> int -> Lang.t -> Lang.t
-(** [(E1·p)\E1 ∩ E2/(p·E2)] — the set of "middles" γ of Lemma 5.3;
-    empty iff unambiguous. *)
-
 val is_ambiguous_langs : Lang.t -> int -> Lang.t -> bool
+
+val witness_langs : Lang.t -> int -> Lang.t -> Word.t option
+(** {!witness} of [E1⟨p⟩E2] given as languages. *)

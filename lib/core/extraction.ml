@@ -126,9 +126,9 @@ let assemble expr ~left_dfa ~right_rev_dfa =
     online = Dfa_ops.is_universal right_rev_dfa;
   }
 
-let compile expr =
-  let left_dfa = Lang.dfa (left_lang expr) in
-  let right_rev_dfa = Lang.dfa (Lang.reverse (right_lang expr)) in
+let compile_langs expr ~left ~right =
+  let left_dfa = Lang.dfa left in
+  let right_rev_dfa = Lang.dfa (Lang.reverse right) in
   (* A matcher is frozen here — both DFAs are immutable from now on, so
      sharing one matcher across the Batch pool's domains is safe.
      validate establishes the structural invariants (delta targets in
@@ -137,6 +137,9 @@ let compile expr =
   Dfa.validate left_dfa;
   Dfa.validate right_rev_dfa;
   assemble expr ~left_dfa ~right_rev_dfa
+
+let compile expr =
+  compile_langs expr ~left:(left_lang expr) ~right:(right_lang expr)
 
 (* Checksum-licensed constructor: the .rxc artifact loader decodes its
    DFAs under the same structural checks Dfa.validate performs (delta

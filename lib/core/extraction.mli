@@ -63,6 +63,13 @@ val compile : t -> matcher
     structural invariants the zero-allocation hot path of
     {!matcher_splits} relies on. *)
 
+val compile_langs : t -> left:Lang.t -> right:Lang.t -> matcher
+(** {!compile} from the languages of the two sides, when the caller
+    already holds them (a synthesis result does): equal to [compile],
+    since a language has one minimal DFA, without compiling the sides'
+    expressions again.  [left] and [right] must be the languages of
+    the expression's sides. *)
+
 val matcher_of_validated :
   t -> left_dfa:Dfa.t -> right_rev_dfa:Dfa.t -> matcher
 (** Assemble a matcher from DFAs that {e already} satisfy the

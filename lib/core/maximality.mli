@@ -9,9 +9,13 @@
     - [(E1·p) \ (E1·p·E2) = Σ*].
 
     The test is PSPACE-complete in general (Thm 5.12 — universality of a
-    regular expression, Lemma 5.9); here it is exact via complementation
-    of the minimal DFA, which is exponential-time in the worst case but
-    fast at wrapper scale (experiment E3 measures the blowup family). *)
+    regular expression, Lemma 5.9).  Here it is exact: each quotient's
+    universality is a breadth-first search of the subsets of the
+    NFA glued from the two sides' DFAs ({!Search}), which stops at the
+    first subset outside the quotient.  That is exponential in the
+    worst case but visits at most one subset per left state plus one
+    when the right side is Σ*, the form every learned wrapper has
+    (experiment E3 measures the blowup family). *)
 
 type verdict =
   | Maximal
@@ -41,9 +45,3 @@ val check_bounded :
 val is_maximal_langs : Lang.t -> int -> Lang.t -> bool
 (** Language-level Cor 5.8 test, unambiguity {e not} re-checked —
     internal fast path for the synthesis algorithms. *)
-
-val left_deficiency : Lang.t -> int -> Lang.t -> Lang.t
-(** [Σ* − (E1·p·E2)/(p·E2)]: words that could be adjoined to E1. *)
-
-val right_deficiency : Lang.t -> int -> Lang.t -> Lang.t
-(** [Σ* − (E1·p)\(E1·p·E2)]: words that could be adjoined to E2. *)

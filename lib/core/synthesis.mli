@@ -36,3 +36,15 @@ val pp_failure : Alphabet.t -> Format.formatter -> failure -> unit
 val maximize : Extraction.t -> (Extraction.t * strategy, failure) result
 (** On success the returned expression is unambiguous, maximal
     (Cor 5.8-checkable), and generalizes the input ([≼]). *)
+
+type outcome = {
+  expr : Extraction.t;
+  strategy : strategy;
+  left : Lang.t;  (** the language of [expr]'s left side *)
+  right : Lang.t;  (** the language of [expr]'s right side *)
+}
+
+val synthesize : Extraction.t -> (outcome, failure) result
+(** {!maximize}, keeping the languages of the result's two sides, so
+    a caller can build its matcher without compiling the rendered
+    expression again ({!Extraction.compile_langs}). *)

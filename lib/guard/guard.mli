@@ -7,8 +7,8 @@
     {!Expr_order} can require exponentially many DFA states on
     adversarial inputs.  This module bounds that work {e explicitly}: a
     {!Budget.t} carries a fuel allowance — charged once per DFA state
-    (or product pair) constructed, and by minimization once per block
-    and per (block, symbol class) splitter, so its share falls when
+    (or product pair) constructed or searched, and by minimization once
+    per block and per (block, symbol class) splitter, so its share falls when
     [Lang] works over few classes of a wide alphabet — and an optional
     wall-clock deadline.  When either runs out the construction site raises
     {!Exhausted} with the pipeline stage, the fuel spent and the limit,
@@ -68,7 +68,8 @@ val charge : stage:string -> int -> unit
 (** [charge ~stage n] debits [n] fuel units from the current domain's
     budget, a no-op when none is installed.  Called by the
     [lib/automata] constructions once per DFA state / product pair
-    (and per block / splitter in minimization).
+    (and per block / splitter in minimization), and by [Search] once
+    per node it explores.
     @raise Exhausted when the allowance is exceeded or the deadline has
     passed. *)
 

@@ -4,7 +4,7 @@ let tests ~count =
   [
     QCheck.Test.make ~count ~name:"Prop 5.4 verdict = Prop 5.5 verdict"
       (Oracle_gen.arb_extraction_case ())
-      (fun e -> Ambiguity.is_ambiguous e = Ambiguity.is_ambiguous_marker e);
+      (fun e -> Ambiguity.is_ambiguous e = Lang_ref.is_ambiguous_marker e);
     QCheck.Test.make ~count ~name:"witness is a doubly-split word, iff ambiguous"
       (Oracle_gen.arb_extraction_case ())
       (fun e ->
@@ -27,4 +27,10 @@ let tests ~count =
         let compiled = Extraction.matcher_splits (Extraction.compile e) w in
         let deriv = Oracle_ref.splits_deriv e w in
         brute = compiled && compiled = deriv);
+    QCheck.Test.make ~count
+      ~name:"search ≡ Lang reference: verdict and witness"
+      (Oracle_gen.arb_decision_case ())
+      (fun e ->
+        Ambiguity.is_ambiguous e = Lang_ref.is_ambiguous e
+        && Ambiguity.witness e = Lang_ref.witness e);
   ]

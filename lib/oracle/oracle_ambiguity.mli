@@ -6,7 +6,7 @@
     - the quotient characterization of Prop 5.4
       ({!Ambiguity.is_ambiguous});
     - the fresh-marker characterization of Prop 5.5
-      ({!Ambiguity.is_ambiguous_marker});
+      ({!Lang_ref.is_ambiguous_marker});
     - brute force — count parse splits of every short word with the
       automata-free derivative matcher
       ({!Oracle_ref.splits_deriv}).

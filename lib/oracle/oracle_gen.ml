@@ -316,3 +316,15 @@ let gen_bounded : Extraction.t QCheck.Gen.t =
 
 let arb_bounded_case () =
   QCheck.make gen_bounded ~print:print_extraction ~shrink:shrink_extraction
+
+(* The §5 searches take a different path when the right side is Σ*
+   (one right state, pruned at once), so half the cases have one. *)
+let arb_decision_case () =
+  let open QCheck.Gen in
+  let sigma_right =
+    let* e = gen_extraction in
+    return { e with Extraction.right = Regex.sigma_star }
+  in
+  QCheck.make
+    (frequency [ (2, gen_extraction); (1, sigma_right); (1, gen_bounded) ])
+    ~print:print_extraction ~shrink:shrink_extraction

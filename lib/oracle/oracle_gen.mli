@@ -84,3 +84,8 @@ val arb_extraction_word_case : unit -> (Extraction.t * Word.t) QCheck.arbitrary
 val arb_bounded_case : unit -> Extraction.t QCheck.arbitrary
 (** [E⟨p⟩Σ*] with ≤ 2 occurrences of the mark on the left — the class
     Algorithm 6.2 (and hence {!Synthesis.maximize}) is complete for. *)
+
+val arb_decision_case : unit -> Extraction.t QCheck.arbitrary
+(** Half {!arb_extraction_case}, half with a Σ* right side (half of
+    those {!arb_bounded_case}): the §5 decisions' inputs in both the
+    forms their searches treat differently. *)

@@ -44,8 +44,8 @@ let tests ~count =
           | Maximality.Ambiguous_input _ -> true
           | _ -> false
         else
-          let ld = Maximality.left_deficiency l1 p l2 in
-          let rd = Maximality.right_deficiency l1 p l2 in
+          let ld = Lang_ref.left_deficiency l1 p l2 in
+          let rd = Lang_ref.right_deficiency l1 p l2 in
           match Maximality.check e with
           | Maximality.Maximal -> Lang.is_empty ld && Lang.is_empty rd
           | Maximality.Not_maximal_left w ->
@@ -53,4 +53,13 @@ let tests ~count =
           | Maximality.Not_maximal_right w ->
               (not (Lang.is_empty rd)) && Lang.mem rd w
           | Maximality.Ambiguous_input _ -> false);
+    QCheck.Test.make ~count
+      ~name:"search ≡ Lang reference: verdict and witness"
+      (Oracle_gen.arb_decision_case ())
+      (fun e ->
+        let l1 = Extraction.left_lang e and l2 = Extraction.right_lang e in
+        let p = e.Extraction.mark in
+        Maximality.check e = Lang_ref.check e
+        && Maximality.is_maximal_langs l1 p l2
+           = Lang_ref.is_maximal_langs l1 p l2);
   ]

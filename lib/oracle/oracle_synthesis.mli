@@ -9,6 +9,15 @@
     the campaign fails.  Maximization is also required to be
     idempotent, failures must be honest (an [Ambiguous] failure means
     the input really is ambiguous), and random members of synthesized
-    languages must extract uniquely. *)
+    languages must extract uniquely.
+
+    Two shortcuts the learning path takes are held against the long
+    way round: the glued pivot recomposition ({!Pivot.glue}) against
+    {!Lang.concat_list} on decompositions whose factors are
+    unambiguous (and, on a pinned ambiguous factor, shown to lose
+    words, so the precondition is needed); and a learned wrapper's
+    matcher, built from the languages synthesis holds, against
+    {!Extraction.compile} of its printed expression re-parsed on a
+    cold cache. *)
 
 val tests : count:int -> QCheck.Test.t list

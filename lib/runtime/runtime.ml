@@ -54,7 +54,7 @@ type decision_value =
   | D_bool of bool
   | D_witness of Word.t option
   | D_verdict of Maximality.verdict
-  | D_maximize of (Extraction.t * Synthesis.strategy, Synthesis.failure) result
+  | D_maximize of (Synthesis.outcome, Synthesis.failure) result
 
 (* The verdict LRU is sharded by key hash, like {!Lang_cache}'s.
    Sharding cannot change cached answers — decisions are pure functions
@@ -171,10 +171,13 @@ let check_maximality e =
   | D_verdict v -> v
   | _ -> assert false
 
-let maximize e =
-  match decide e "maximize" (fun () -> D_maximize (Synthesis.maximize e)) with
+let synthesize e =
+  match decide e "maximize" (fun () -> D_maximize (Synthesis.synthesize e)) with
   | D_maximize r -> r
   | _ -> assert false
+
+let maximize e =
+  Result.map (fun o -> (o.Synthesis.expr, o.Synthesis.strategy)) (synthesize e)
 
 (* --- budgeted decision procedures ---
 

@@ -1,9 +1,10 @@
 (** The compiled-extraction runtime: one compilation, many evaluations.
 
     The §5–§6 decision procedures (ambiguity per Prop 5.4, maximality
-    per Cor 5.8, maximization per Algorithm 6.2) all funnel through the
-    same regex → NFA → DFA pipeline; this module is the front door to
-    the memoized version of that pipeline:
+    per Cor 5.8, maximization per Algorithm 6.2) all start from the
+    same regex → NFA → DFA pipeline (the decisions then search the
+    DFAs, the syntheses build further languages); this module is the
+    front door to the memoized version of that pipeline:
 
     - expressions are {e hash-consed} ({!Regex_hc}), so structurally
       equal regexes share one node and one compiled automaton;
@@ -83,6 +84,10 @@ val check_maximality : Extraction.t -> Maximality.verdict
 val maximize :
   Extraction.t ->
   (Extraction.t * Synthesis.strategy, Synthesis.failure) result
+
+val synthesize : Extraction.t -> (Synthesis.outcome, Synthesis.failure) result
+(** {!maximize} with the languages of the result's sides; one cached
+    verdict serves both. *)
 
 (** {1 Budgeted decision procedures}
 

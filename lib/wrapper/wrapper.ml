@@ -78,15 +78,20 @@ let learn ?(maximize = true) ?(abs = Abstraction.Tags) ?alpha samples =
                 strategy = None;
               }
           else (
-            match Runtime.maximize merged with
-            | Ok (expr, strategy) ->
+            (* The matcher is built from the languages synthesis
+               already holds, not by compiling the rendered
+               expression again. *)
+            match Runtime.synthesize merged with
+            | Ok o ->
                 Ok
                   {
                     alpha;
                     abs;
-                    expr;
-                    matcher = Extraction.compile expr;
-                    strategy = Some strategy;
+                    expr = o.Synthesis.expr;
+                    matcher =
+                      Extraction.compile_langs o.Synthesis.expr
+                        ~left:o.Synthesis.left ~right:o.Synthesis.right;
+                    strategy = Some o.Synthesis.strategy;
                   }
             | Error f -> Error (Maximization_failed f)))
 

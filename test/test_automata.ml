@@ -348,6 +348,23 @@ let test_minimize_unreachable () =
 
 let classes_oracle = of_oracle ~count:60 Oracle_classes.tests
 
+(* Two starts reach node 2, one on "b" (found first) and one on "a":
+   a search over single nodes would answer "b", the subset search
+   answers the length-lex least "a". *)
+let test_search_least_ties () =
+  let succ x a =
+    match (x, a) with 0, 1 -> [ 2 ] | 1, 0 -> [ 2 ] | _ -> [ 3 ]
+  in
+  let g = { Search.size = 4; syms = [| 0; 1 |]; succ } in
+  let w = Search.least g [ 0; 1 ] (Array.mem 2) in
+  check_bool "least word is a" true (w = Some [| 0 |]);
+  check_bool "unreachable target" true
+    (Search.least g [ 3 ] (Array.mem 2) = None);
+  let seen = Search.reach g [ 0 ] in
+  check_bool "reach" true (Bitvec.elements seen = [ 0; 2; 3 ]);
+  let co = Search.coreach g (fun x -> x = 2) in
+  check_bool "coreach" true (Bitvec.elements co = [ 0; 1; 2 ])
+
 let () =
   Alcotest.run "automata"
     [
@@ -400,6 +417,11 @@ let () =
              test_minimize_unreachable
         :: classes_oracle );
       ("dot", [ Alcotest.test_case "rendering" `Quick test_dot_output ]);
+      ( "search",
+        [
+          Alcotest.test_case "least word over ties" `Quick
+            test_search_least_ties;
+        ] );
       ( "state-elim",
         [
           prop_state_elim_roundtrip;

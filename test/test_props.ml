@@ -15,6 +15,7 @@ let order_law_tests = of_oracle ~count:60 Oracle_order.tests
 let membership_tests = of_oracle ~count:100 Oracle_membership.tests
 let synthesis_tests = of_oracle ~count:40 Oracle_synthesis.tests
 let maximality_tests = of_oracle ~count:40 Oracle_maximality.tests
+let ambiguity_tests = of_oracle ~count:60 Oracle_ambiguity.tests
 
 (* --- guided alignment --- *)
 
@@ -62,6 +63,7 @@ let () =
       ("membership", membership_tests);
       ("synthesis", synthesis_tests);
       ("maximality", maximality_tests);
+      ("ambiguity", ambiguity_tests);
       ( "alignment",
         [
           prop_guided_is_common_subsequence;
