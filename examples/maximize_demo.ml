@@ -74,7 +74,7 @@ let () =
   rule ();
   print_endline "Pivot maximization where plain left-filtering is impossible:";
   let e = Extraction.parse alpha "(p p)* q <p> .*" in
-  (match Left_filter.maximize e with
+  (match Left_filter.maximize_lang (Extraction.left_lang e) p with
   | Error Left_filter.Unbounded_mark_count ->
       print_endline "  Alg 6.2 rejects (pp)*q⟨p⟩Σ* — unboundedly many p's"
   | _ -> assert false);

@@ -38,4 +38,4 @@ val template_decomposition :
   Alphabet.t -> sample list -> (Pivot.decomposition * int, error) result
 (** The merged prefix as an explicit pivot decomposition (segments =
     gap unions, pivots = common tags) together with the marked symbol —
-    ready for {!Pivot.maximize}. *)
+    ready for {!Pivot.maximize_lang}. *)
