@@ -89,10 +89,9 @@ val classes : ?single:int -> t list -> classes
     [single], when given, is kept in a class of its own.
     @raise Invalid_argument on an empty list or mixed alphabet sizes. *)
 
-val classes_by :
-  alpha_size:int -> hash:(int -> int) -> same:(int -> int -> bool) -> classes
-(** The class loop behind {!classes}, for any column representation:
-    [same a b] is the equivalence, and [hash] must agree with it. *)
+val classes_of_partition : Partition.t -> alpha_size:int -> classes
+(** The blocks of a partition of the symbols, numbered by least
+    member. *)
 
 val is_identity : classes -> bool
 (** Every symbol is its own class. *)

@@ -59,17 +59,19 @@ let parse alpha s =
       let right = parse_side (String.sub s (j + 1) (n - j - 1)) in
       make alpha left mark right
 
-let pp ppf t =
-  (* compact: extraction expressions are displayed/persisted for their
-     language, so the shorter negated-class form is preferred *)
-  Format.fprintf ppf "%a <%s> %a"
-    (Regex.pp ~compact:true t.alpha)
-    t.left
-    (Alphabet.name t.alpha t.mark)
-    (Regex.pp ~compact:true t.alpha)
-    t.right
+(* compact: extraction expressions are displayed/persisted for their
+   language, so the shorter negated-class form is preferred *)
+let to_string t =
+  String.concat ""
+    [
+      Regex.to_string ~compact:true t.alpha t.left;
+      " <";
+      Alphabet.name t.alpha t.mark;
+      "> ";
+      Regex.to_string ~compact:true t.alpha t.right;
+    ]
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let left_lang t = Lang.of_regex t.alpha t.left
 let right_lang t = Lang.of_regex t.alpha t.right

@@ -33,7 +33,6 @@ val of_regex : Alphabet.t -> Regex.t -> t
 (** Compile any extended regular expression. *)
 
 val of_dfa : Alphabet.t -> Dfa.t -> t
-val of_nfa : Alphabet.t -> Nfa.t -> t
 val parse : Alphabet.t -> string -> t
 (** [of_regex] ∘ {!Regex_parse.parse}. *)
 

@@ -1,5 +1,5 @@
 let thompson_concat a b =
-  Determinize.run (Nfa.concat (Dfa.to_nfa a) (Dfa.to_nfa b))
+  Determinize.run (Thompson.concat (Dfa.to_nfa a) (Dfa.to_nfa b))
 
 type case = {
   alpha : Alphabet.t;
@@ -77,8 +77,53 @@ let ops : (string * (case -> Lang.t) * (case -> Dfa.t)) list =
       fun c -> Dfa_ops.filter_count (ra c) ~sym:c.sym c.n );
     ( "of_regex",
       (fun c -> Lang.of_regex c.alpha c.re),
-      fun c -> Determinize.run (Nfa.of_regex c.alpha c.re) );
+      fun c -> Determinize.run (Thompson.of_regex c.alpha c.re) );
   ]
+
+(* Plain expressions with a position automaton's corner cases: ε and
+   ∅ under operators, empty and full classes (atoms with no class, or
+   with all of them), and stars nested under concatenation and union
+   ((x* )* itself collapses). *)
+let gen_position_case =
+  let open QCheck.Gen in
+  let* alpha = Oracle_gen.gen_alphabet in
+  let plain = Oracle_gen.gen_plain_regex ~size:10 alpha in
+  let* a = plain in
+  let* b = plain in
+  let* c = oneofl Regex.[ eps; empty; cls []; neg_cls [] ] in
+  let* re =
+    oneofl
+      Regex.
+        [
+          a;
+          alt a c;
+          cat a (star (alt b c));
+          star (cat (star a) (alt c b));
+          alt (star (cat a c)) (star b);
+        ]
+  in
+  return (alpha, re)
+
+let arb_position_case =
+  QCheck.make
+    ~print:(fun (alpha, re) -> Regex.to_string alpha re)
+    ~shrink:(fun (alpha, re) ->
+      QCheck.Iter.map (fun re -> (alpha, re)) (Oracle_gen.shrink_regex re))
+    gen_position_case
+
+(* The position automaton's subsets correspond one to one to the
+   ε-closures Thompson's automaton reaches, so the two subset
+   constructions are the same DFA up to state numbering: equal once
+   canonicalized, before any minimization.  This is why compiling
+   through positions charges the fuel the Thompson route did. *)
+let position_test ~count =
+  QCheck.Test.make ~count
+    ~name:"of_regex: position ≡ Thompson, unminimized"
+    arb_position_case (fun (alpha, re) ->
+      let c = Position.classes ~alpha_size:(Alphabet.size alpha) re in
+      Dfa.equal_structure
+        (Dfa.canonicalize (Dfa.expand c (Position.determinize c re)))
+        (Dfa.canonicalize (Determinize.run (Thompson.of_regex alpha re))))
 
 let tests ~count =
   List.map
@@ -90,3 +135,4 @@ let tests ~count =
           Dfa.equal_structure (Lang.dfa (production c))
             (Minimize.minimize (reference c))))
     ops
+  @ [ position_test ~count ]

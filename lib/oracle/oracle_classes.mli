@@ -13,7 +13,13 @@
     repeat: symbols are drawn into fewer groups than there are symbols,
     each group shares one column, and now and then one symbol of one
     operand gets a column of its own.  Concatenation's reference is the
-    Thompson construction, [Nfa.concat] then [Determinize.run]. *)
+    Thompson construction, [Thompson.concat] then [Determinize.run], as
+    is compiling an expression's.
+
+    One more test holds {!Position} to {!Thompson} before minimization:
+    on random plain expressions (ε, empty classes and nested stars
+    included) the two subset constructions must be the same DFA up to
+    state numbering. *)
 
 val thompson_concat : Dfa.t -> Dfa.t -> Dfa.t
 (** [L(a)·L(b)] through an NFA and the subset construction, unminimized. *)

@@ -35,13 +35,13 @@ let moore d =
 
 let nfa_accepts (t : Nfa.t) w =
   let cur = Bitvec.of_list t.size t.starts in
-  Nfa.eps_closure t cur;
+  Thompson.eps_closure t cur;
   let cur = ref cur in
   Array.iter
     (fun a ->
       let next = Bitvec.create t.size in
       Bitvec.iter (fun q -> List.iter (Bitvec.set next) t.delta.(q).(a)) !cur;
-      Nfa.eps_closure t next;
+      Thompson.eps_closure t next;
       cur := next)
     w;
   Bitvec.exists (fun q -> t.finals.(q)) !cur

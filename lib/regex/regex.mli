@@ -75,9 +75,9 @@ val size : t -> int
 val height : t -> int
 
 val is_extended : t -> bool
-(** Does the AST contain [Inter]/[Diff]/[Compl] (or negated classes)?
-    Plain expressions compile to NFAs directly; extended ones go through
-    the boolean algebra on DFAs. *)
+(** Does the AST contain [Inter]/[Diff]/[Compl]?  Plain expressions
+    (negated classes included) compile through their position automaton
+    directly; extended ones go through the boolean algebra on DFAs. *)
 
 val syms_used : t -> Symset.t
 (** Symbols mentioned positively or negatively in the expression. *)

@@ -103,13 +103,18 @@ let starts_atom = function
   | Trbrace | Tcomma | Teof ->
       false
 
+(* Alternatives and concatenations are gathered into one list each and
+   built by one smart-constructor call, so long ones parse in linear
+   time. *)
 let rec parse_expr st =
-  let e = parse_diff st in
-  match peek st with
-  | Tbar, _ ->
-      advance st;
-      Regex.alt e (parse_expr st)
-  | _ -> e
+  let rec loop acc =
+    match peek st with
+    | Tbar, _ ->
+        advance st;
+        loop (parse_diff st :: acc)
+    | _ -> Regex.alt_list (List.rev acc)
+  in
+  loop [ parse_diff st ]
 
 and parse_diff st =
   let rec loop acc =
@@ -132,10 +137,10 @@ and parse_inter st =
 and parse_cat st =
   let rec loop acc =
     let t, _ = peek st in
-    if starts_atom t then loop (Regex.cat acc (parse_postfix st))
-    else acc
+    if starts_atom t then loop (parse_postfix st :: acc)
+    else Regex.cat_list (List.rev acc)
   in
-  loop (parse_postfix st)
+  loop [ parse_postfix st ]
 
 and parse_postfix st =
   let e = ref (parse_atom st) in
