@@ -3,8 +3,6 @@ type t = { width : int; bits : Bytes.t }
 let create width =
   { width; bits = Bytes.make ((width + 7) / 8) '\000' }
 
-let length t = t.width
-
 let check t i =
   if i < 0 || i >= t.width then invalid_arg "Bitvec: index out of range"
 
@@ -26,8 +24,6 @@ let is_empty t =
   let n = Bytes.length t.bits in
   let rec loop i = i >= n || (Bytes.get_uint8 t.bits i = 0 && loop (i + 1)) in
   loop 0
-
-let copy t = { width = t.width; bits = Bytes.copy t.bits }
 
 let union_into dst src =
   if dst.width <> src.width then invalid_arg "Bitvec.union_into: width";
@@ -64,8 +60,6 @@ let of_list width l =
   let t = create width in
   List.iter (set t) l;
   t
-
-let key t = Bytes.to_string t.bits
 
 let exists p t =
   let found = ref false in

@@ -1,18 +1,15 @@
-(** Dense mutable bit vectors, used as NFA state sets during subset
-    construction.  Width is fixed at creation; the [bytes] payload doubles
-    as a hashable key for determinization. *)
+(** Dense mutable bit vectors: reachability marks over DFA states and
+    product pairs.  Width is fixed at creation. *)
 
 type t
 
 val create : int -> t
 (** [create n] is the empty set over universe [{0, …, n-1}]. *)
 
-val length : t -> int
 val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
 val is_empty : t -> bool
-val copy : t -> t
 val union_into : t -> t -> unit
 (** [union_into dst src] adds all of [src] to [dst]. *)
 
@@ -23,8 +20,5 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val cardinal : t -> int
 val of_list : int -> int list -> t
-
-val key : t -> string
-(** A string usable as a hash key; equal sets have equal keys. *)
 
 val exists : (int -> bool) -> t -> bool
