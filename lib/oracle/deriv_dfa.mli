@@ -1,11 +1,11 @@
 (** Brzozowski-derivative DFA construction.
 
     A third, independent route from expressions to automata (besides
-    Thompson+subset and the boolean compilation in {!Lang}): states are
-    derivative expressions themselves, normalized up to the ACI laws of
-    union by the {!Regex} smart constructors — which is exactly the
-    normalization Brzozowski's finiteness theorem requires.  Unlike
-    Thompson's construction this handles the boolean operators
+    the position automaton and the boolean compilation in {!Lang}):
+    states are derivative expressions themselves, normalized up to the
+    ACI laws of union by the {!Regex} smart constructors — which is
+    exactly the normalization Brzozowski's finiteness theorem requires.
+    Unlike the position automaton this handles the boolean operators
     ([&], [-], [~]) natively, with no product constructions.
 
     A reference engine: the property tests check that all three
