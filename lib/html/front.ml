@@ -7,7 +7,8 @@
 
    Known cost trade-off: a construct that straddles a chunk boundary
    in streaming mode is carried and re-scanned from its '<', so a
-   single tag much larger than the chunk size re-scans quadratically.
+   single tag spanning many chunks re-scans quadratically in the
+   number of chunks it spans.
    Tags are small in practice; text, comments, script bodies and
    doctypes all stream without carry. *)
 
@@ -759,10 +760,12 @@ let scan_end eng s n eof cstart =
   eng.mode <- M_skipgt;
   !j
 
-let scan eng s eof =
+(* Scan [s] from [i0] while the position is below [lim], looking ahead
+   as far as the end of [s]; answers the position reached. *)
+let scan eng s i0 lim eof =
   let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
+  let i = ref i0 in
+  while !i < lim do
     match eng.mode with
     | M_comment ->
         let c = String.unsafe_get s !i in
@@ -883,7 +886,8 @@ let scan eng s eof =
           if not (is_space c) then eng.text_nonspace <- true;
           incr i
         end
-  done
+  done;
+  !i
 
 let finalize eng =
   (match eng.mode with
@@ -900,15 +904,42 @@ let finalize eng =
     close_top eng
   done
 
+(* The least of the next chunk that [feed] joins to a carried
+   construct; more when the carry itself is longer, so a construct
+   that needs several joins costs copies geometric in its length. *)
+let carry_head = 256
+
+(* A construct carried from the previous chunk is re-scanned over the
+   carry plus a bounded head of [chunk], never the whole chunk: once
+   the scan passes the carried bytes it resumes in [chunk] itself.  A
+   head too short to finish the construct is the same as a chunk
+   boundary there, which the carry already handles. *)
+let rec feed_from eng chunk off eof =
+  let n = String.length chunk in
+  if eng.carry = "" then (
+    match scan eng chunk off n eof with
+    | _ -> ()
+    | exception Need_more r -> eng.carry <- String.sub chunk r (n - r))
+  else begin
+    let c = String.length eng.carry in
+    let k = min (n - off) (max carry_head c) in
+    let b = Bytes.create (c + k) in
+    Bytes.blit_string eng.carry 0 b 0 c;
+    Bytes.blit_string chunk off b c k;
+    let head = Bytes.unsafe_to_string b in
+    eng.carry <- "";
+    match scan eng head 0 c (eof && off + k = n) with
+    | i -> feed_from eng chunk (off + i - c) eof
+    | exception Need_more r ->
+        eng.carry <- String.sub head r (c + k - r);
+        if off + k < n then feed_from eng chunk (off + k) eof
+  end
+
 (* the interner counts reach the global totals on every exit, the
    Unknown_sym one included *)
 let feed eng chunk eof =
-  let input = if eng.carry = "" then chunk else eng.carry ^ chunk in
-  eng.carry <- "";
   match
-    (try scan eng input eof
-     with Need_more r ->
-       eng.carry <- String.sub input r (String.length input - r));
+    feed_from eng chunk 0 eof;
     if eof then finalize eng
   with
   | () -> flush_counts eng

@@ -26,6 +26,8 @@ let all =
     { name = "serve"; tests = Oracle_serve.tests };
     { name = "front"; tests = Oracle_front.tests };
     { name = "heal"; tests = Oracle_heal.tests };
+    (* last, so the tests above keep their campaign index and cases *)
+    { name = "serve"; tests = Oracle_serve.decode_tests };
   ]
 
 let run_one ~seed ~index ~suite t =

@@ -25,41 +25,6 @@ let install_signal_handlers () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Sys_error _ -> ()
 
-(* Incremental line splitter over raw reads: the unterminated tail is
-   carried in a buffer between chunks, capped at [limit + 1] bytes.
-   Past the cap the rest of the line is discarded, so an adversarial
-   client streaming a newline-free byte river cannot grow daemon
-   memory; the truncated line still exceeds [limit], so [Frame.decode]
-   answers its structured oversized-frame error once the line (or the
-   input) finally ends. *)
-type splitter = { carry : Buffer.t; limit : int }
-
-let splitter limit = { carry = Buffer.create 4096; limit }
-
-let splitter_add sp data start len =
-  let keep = min len (sp.limit + 1 - Buffer.length sp.carry) in
-  if keep > 0 then Buffer.add_substring sp.carry data start keep
-
-let splitter_take sp =
-  let line = Buffer.contents sp.carry in
-  Buffer.clear sp.carry;
-  line
-
-(* Complete lines of [data] given the carried tail; the new tail stays
-   in the splitter. *)
-let split_lines sp data =
-  let n = String.length data in
-  let rec go start acc =
-    match String.index_from_opt data start '\n' with
-    | Some i ->
-        splitter_add sp data start (i - start);
-        go (i + 1) (splitter_take sp :: acc)
-    | None ->
-        splitter_add sp data start (n - start);
-        List.rev acc
-  in
-  go 0 []
-
 (* A write failure means this reader is gone: answer [false] so the
    caller stops feeding the connection and heads for the drain.  The
    process-global [stop_requested] stays signal-only — in socket mode
@@ -89,36 +54,31 @@ let process cfg sup oc lines =
           | l :: rest -> take (k - 1) (l :: acc) rest
         in
         let batch, rest = take cfg.batch_max [] lines in
-        if emit oc (Supervisor.handle_batch sup batch) then go rest else false
+        if emit oc (Supervisor.handle_lines sup batch) then go rest else false
   in
-  (* skip blank lines: convenient for hand-driven sessions, and a
-     trailing newline at EOF is not a frame *)
-  go (List.filter (fun l -> String.trim l <> "") lines)
+  go lines
 
 (* Serve one input fd until EOF or a stop request; drains before
    returning.  [oc] is where outgoing frames go (stdout for stdin
    mode, the connection for socket mode). *)
 let serve_fd cfg sup fd oc =
-  let chunk = Bytes.create 65536 in
-  let sp = splitter Frame.default_max_bytes in
+  let sp = Splitter.create ~limit:Frame.default_max_bytes in
+  let read buf off len = Unix.read fd buf off len in
   let rec loop () =
     if Atomic.get stop_requested then ()
     else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      match Splitter.feed sp read with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | exception Unix.Unix_error (_, _, _) ->
           (* a reset connection is an EOF with attitude: drain *)
           ()
-      | 0 ->
+      | None ->
           (* genuine EOF is the one place an unterminated final line
              still counts as a frame; the stop/read-error/writer-gone
              exits drop their mid-line tail instead of misparsing a
              truncated prefix *)
-          if Buffer.length sp.carry > 0 then
-            ignore (process cfg sup oc [ splitter_take sp ])
-      | n ->
-          let lines = split_lines sp (Bytes.sub_string chunk 0 n) in
-          if process cfg sup oc lines then loop ()
+          ignore (process cfg sup oc (Splitter.finish sp))
+      | Some lines -> if process cfg sup oc lines then loop ()
   in
   loop ();
   ignore (emit oc (Supervisor.drain sup))

@@ -178,7 +178,7 @@ let close_frame s =
       tokens = Session.tokens_fed s;
     }
 
-let handle_batch t lines =
+let handle_lines t lines =
   let t0 = Obs.now_ns () in
   let n = List.length lines in
   ignore (Atomic.fetch_and_add frames_c n);
@@ -190,8 +190,8 @@ let handle_batch t lines =
      each with its own slots. *)
   let slots =
     List.map
-      (fun line ->
-        match Frame.decode line with
+      (fun { Splitter.buf; off; len } ->
+        match Frame.decode_sub buf off len with
         | Error reason ->
             Atomic.incr decode_err_c;
             Done [ Frame.Err_decode { reason } ]
@@ -383,6 +383,9 @@ let handle_batch t lines =
     Obs.Histogram.observe latency dt
   done;
   List.rev !out @ heal_frames
+
+let handle_batch t lines =
+  handle_lines t (List.map Splitter.line_of_string lines)
 
 let handle_line t line = handle_batch t [ line ]
 

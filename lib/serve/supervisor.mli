@@ -86,6 +86,11 @@ val handle_batch : t -> string list -> Frame.outgoing list
     answer the outgoing frames, in arrival order.  Total: malformed
     input produces error frames, never an exception. *)
 
+val handle_lines : t -> Splitter.line list -> Frame.outgoing list
+(** [handle_batch] on line slices, as the daemon's {!Splitter} hands
+    them out.  Every line is decoded before this returns, so the
+    slices may be overwritten afterwards. *)
+
 val handle_line : t -> string -> Frame.outgoing list
 (** [handle_batch] on a single line. *)
 

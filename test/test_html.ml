@@ -396,6 +396,61 @@ let test_front_chunking_every_cut () =
       (lookups () - l0)
   done
 
+(* A start tag longer than the head [Front.feed] joins to a carry, so
+   finishing it takes several joins; cut anywhere into two or three
+   chunks, or streamed in tiny chunks, it still matches the one-shot
+   word, refined attribute included, with each tag looked up once. *)
+let test_front_long_carry () =
+  let long = String.make 700 'n' in
+  let s =
+    Printf.sprintf
+      "<div>&#32; <input name=\"%s\" type=\"text\"><p>a &amp; b<input \
+       type=%s>x</p><!-- c --></div>"
+      long long
+  in
+  let abs = Abstraction.Tags_with_attrs [ ("INPUT", "type") ] in
+  let alpha = Tag_seq.alphabet_of_docs ~abs [ Html_tree.parse s ] in
+  let tbl = Front.build ~abs alpha in
+  let lookups () =
+    let st = Front.stats () in
+    st.Front.interner_hits + st.Front.interner_misses
+  in
+  let l0 = lookups () in
+  let oneshot = Array.to_list (Front.word tbl s) in
+  let per_page = lookups () - l0 in
+  let check name chunks =
+    let l0 = lookups () in
+    let acc = ref [] in
+    let emit a = acc := a :: !acc in
+    let st = Front.stream_make tbl in
+    List.iter
+      (fun c ->
+        match Front.stream_feed st c ~emit with
+        | Ok () -> ()
+        | Error t -> Alcotest.failf "%s: unknown %s" name t)
+      chunks;
+    (match Front.stream_finish st ~emit with
+    | Ok () -> ()
+    | Error t -> Alcotest.failf "%s: unknown %s at finish" name t);
+    Alcotest.(check (list int)) name oneshot (List.rev !acc);
+    Alcotest.(check int) (name ^ ": lookups") per_page (lookups () - l0)
+  in
+  let n = String.length s in
+  let sub a b = String.sub s a (b - a) in
+  for cut = 0 to n do
+    check (Printf.sprintf "cut at %d" cut) [ sub 0 cut; sub cut n ];
+    let mid = min n (cut + 300) in
+    check
+      (Printf.sprintf "cuts at %d, %d" cut mid)
+      [ sub 0 cut; sub cut mid; sub mid n ]
+  done;
+  for size = 1 to 9 do
+    check
+      (Printf.sprintf "chunks of %d" size)
+      (List.init ((n + size - 1) / size) (fun i ->
+           sub (i * size) (min n ((i + 1) * size))))
+  done
+
 let test_front_unknown_symbol () =
   (* an alphabet that misses TABLE: both paths must name TABLE, not
      whatever follows it *)
@@ -494,6 +549,8 @@ let () =
           Alcotest.test_case "figure 1 pages" `Quick test_front_figure1;
           Alcotest.test_case "chunked ≡ one-shot at every cut" `Quick
             test_front_chunking_every_cut;
+          Alcotest.test_case "long carried tag at every cut" `Quick
+            test_front_long_carry;
           Alcotest.test_case "unknown-symbol identity" `Quick
             test_front_unknown_symbol;
           Alcotest.test_case "stream allocation pin" `Quick
