@@ -945,14 +945,14 @@ let e14 () =
   let rows = scale docs reference [ 1; 2; 4 ] in
   let pool = Pool.stats () in
   Printf.printf "%s" (Format.asprintf "%a" Pool.pp_stats pool);
-  (* Per-word allocation of the matcher hot path: the per-domain scratch
-     bitset vs the allocating reference.  Measured on the largest page's
+  (* Per-word allocation of the matcher hot path: the forward stepper
+     vs the reference's suffix bitset.  Measured on the largest page's
      token word. *)
   let giant_word = Tag_seq.of_doc ~abs:w.Wrapper.abs alpha (List.hd docs) in
   let m = w.Wrapper.matcher in
   let minor_words_per_call f =
     ignore (Sys.opaque_identity (f ()));
-    (* warm the scratch *)
+    (* warm up *)
     let reps = 50 in
     let before = Gc.minor_words () in
     for _ = 1 to reps do
@@ -971,11 +971,11 @@ let e14 () =
     "matcher allocation on a %d-token word (minor words/call):\n\
      | path | minor words |\n\
      |---|---|\n\
-     | scratch (hot path) | %8.0f |\n\
+     | stepper (hot path) | %8.0f |\n\
      | fresh bitset (reference) | %8.0f |\n"
     (Array.length giant_word) scratch_words fresh_words;
   Printf.printf
-    "shape check: output is invariant in the job count, the scratch path\n\
+    "shape check: output is invariant in the job count, the stepper\n\
      allocates less than the fresh path, and on a multicore host the\n\
      skewed corpus still scales (stealing drains the giant chunk).\n";
   (* Tiny-items corpus: the inversion regime — thousands of
@@ -1000,6 +1000,7 @@ let e14 () =
     metrics =
       Obs.Json.
         [
+          ("cores", Int (Domain.recommended_domain_count ()));
           ( "corpus",
             Obj
               [
@@ -1818,9 +1819,19 @@ let run name f =
           output_char oc '\n');
       Printf.printf "wrote %s\n" path)
     o.topic;
+  (* a speedup verdict depends on the host, so an experiment that
+     records its core count prints it next to its speedup gates *)
+  let cores g =
+    match List.assoc_opt "cores" o.metrics with
+    | Some (Obs.Json.Int n) when String.starts_with ~prefix:"speedup" g ->
+        Printf.sprintf " (cores %d)" n
+    | _ -> ""
+  in
   List.filter_map
     (fun (g, ok) ->
-      Printf.printf "gate %s.%s: %s\n%!" name g (if ok then "ok" else "FAIL");
+      Printf.printf "gate %s.%s: %s%s\n%!" name g
+        (if ok then "ok" else "FAIL")
+        (cores g);
       if ok then None else Some (name ^ "." ^ g))
     o.gates
 

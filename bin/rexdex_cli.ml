@@ -181,12 +181,6 @@ let handle_errors f =
   | Regex_parse.Parse_error (msg, pos) ->
       Format.eprintf "parse error at offset %d: %s@." pos msg;
       exit 2
-  | Extraction.Not_online { expr } ->
-      Format.eprintf
-        "error: not_online: %s — streaming needs a Σ*-right expression \
-         (run 'rexdex maximize' first)@."
-        expr;
-      exit 2
   | Invalid_argument msg ->
       Format.eprintf "error: %s@." msg;
       exit 2
@@ -551,7 +545,7 @@ let batch_cmd =
 
 let serve_cmd =
   let expr_opt_arg =
-    let doc = "Extraction expression with a Σ* right side (online, §7)." in
+    let doc = "Extraction expression, e.g. '([^p])* <p> .*'." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc)
   in
   let jobs_arg =
@@ -753,7 +747,7 @@ let serve_cmd =
   in
   let doc =
     "run a crash-only streaming extraction daemon: newline-delimited JSON \
-     frames in, split records out the moment they pin (§7 online \
+     frames in, split records out the moment they pin (one-pass \
      extraction, supervised concurrent sessions)"
   in
   Cmd.v (Cmd.info "serve" ~doc)

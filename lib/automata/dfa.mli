@@ -24,7 +24,7 @@ val unsafe_step : t -> int -> int -> int
     [0 <= a < alpha_size] — under those invariants a loop seeded with
     [start] can only ever reach in-range states, so the caller need
     only bound-check its {e symbols}.  The matcher hot path
-    ([Extraction.matcher_splits]) is the intended user. *)
+    ([Extraction.stepper]) is the intended user. *)
 
 val run : t -> int array -> int
 (** State reached from the start on a word. *)

@@ -83,24 +83,24 @@ let language t =
 (* --- alphabet equivalence-class compression ---
 
    Two symbols with identical delta columns in BOTH the left DFA and
-   the reversed-right DFA drive every run through the same state
-   trajectories, so the matcher cannot distinguish them: they share one
-   class.  HTML alphabets with dozens of tags typically collapse to the
-   handful of classes the expression actually separates, shrinking
-   delta rows for the fused front-end's hot loop.  The mark is kept in a
-   class of its own (Dfa.classes ~single) so that "class = c_mark"
-   remains an exact test for "symbol = mark". *)
+   the right DFA drive every run through the same state trajectories,
+   so the matcher cannot distinguish them: they share one class.  HTML
+   alphabets with dozens of tags typically collapse to the handful of
+   classes the expression actually separates, shrinking delta rows for
+   the fused front-end's hot loop.  The mark is kept in a class of its
+   own (Dfa.classes ~single) so that "class = c_mark" remains an exact
+   test for "symbol = mark". *)
 
 type compressed = {
   class_of : int array;
   n_classes : int;
   c_mark : int;
   c_left : Dfa.t;
-  c_right_rev : Dfa.t;
+  c_right : Dfa.t;
 }
 
-let compress expr ~left_dfa ~right_rev_dfa =
-  let c = Dfa.classes ~single:expr.mark [ left_dfa; right_rev_dfa ] in
+let compress expr ~left_dfa ~right_dfa =
+  let c = Dfa.classes ~single:expr.mark [ left_dfa; right_dfa ] in
   (* The shrunken DFAs inherit the validate invariants: every delta
      target is copied from a validated table, finals/size/start are
      unchanged, and the row width is exactly n_classes — so unsafe_step
@@ -110,35 +110,43 @@ let compress expr ~left_dfa ~right_rev_dfa =
     n_classes = c.Dfa.n_classes;
     c_mark = c.Dfa.class_of.(expr.mark);
     c_left = Dfa.shrink c left_dfa;
-    c_right_rev = Dfa.shrink c right_rev_dfa;
+    c_right = Dfa.shrink c right_dfa;
   }
 
-(* The right side runs as the DFA of its reversed language: read
-   right-to-left over a suffix, it decides suffix ∈ L(E2). *)
-type matcher = {
-  expr : t;
-  comp : compressed;
-  online : bool; (* right side is Σ*: decided once, here *)
-}
+(* What a right-DFA state says about every candidate in it: each
+   continuation is accepted (pin now), none is (drop now), or the rest
+   of the stream decides. *)
+type fate = Undecided | Accepts_all | Accepts_none
 
-let assemble expr ~left_dfa ~right_rev_dfa =
-  {
-    expr;
-    comp = compress expr ~left_dfa ~right_rev_dfa;
-    online = Dfa_ops.is_universal right_rev_dfa;
-  }
+type matcher = { expr : t; comp : compressed; fate : fate array }
+
+(* Both sets are fixpoints of backward reachability: a state accepts no
+   word when no final state is reachable from it, and every word when
+   no non-final one is.  Neither assumes a minimal DFA (a loaded
+   artifact is used as stored). *)
+let assemble expr ~left_dfa ~right_dfa =
+  let comp = compress expr ~left_dfa ~right_dfa in
+  let d = comp.c_right in
+  let can_accept = Dfa.coreachable d in
+  let can_reject = Dfa.coreachable (Dfa.complement d) in
+  let fate q =
+    if not (Bitvec.mem can_reject q) then Accepts_all
+    else if not (Bitvec.mem can_accept q) then Accepts_none
+    else Undecided
+  in
+  { expr; comp; fate = Array.init d.Dfa.size fate }
 
 let compile_langs expr ~left ~right =
   let left_dfa = Lang.dfa left in
-  let right_rev_dfa = Lang.dfa (Lang.reverse right) in
+  let right_dfa = Lang.dfa right in
   (* A matcher is frozen here — both DFAs are immutable from now on, so
      sharing one matcher across the Batch pool's domains is safe.
      validate establishes the structural invariants (delta targets in
      range, finals length = size) that license the unsafe accesses in
-     the hot path below. *)
+     the stepper below. *)
   Dfa.validate left_dfa;
-  Dfa.validate right_rev_dfa;
-  assemble expr ~left_dfa ~right_rev_dfa
+  Dfa.validate right_dfa;
+  assemble expr ~left_dfa ~right_dfa
 
 let compile expr =
   compile_langs expr ~left:(left_lang expr) ~right:(right_lang expr)
@@ -150,79 +158,178 @@ let compile expr =
    work already done.  The contract is the caller's to uphold — a DFA
    that never passed those checks makes the unsafe_step hot path
    unsound. *)
-let matcher_of_validated expr ~left_dfa ~right_rev_dfa =
+let matcher_of_validated expr ~left_dfa ~right_dfa =
   let expect_alpha = Alphabet.size expr.alpha in
   if
     left_dfa.Dfa.alpha_size <> expect_alpha
-    || right_rev_dfa.Dfa.alpha_size <> expect_alpha
+    || right_dfa.Dfa.alpha_size <> expect_alpha
   then invalid_arg "Extraction.matcher_of_validated: alphabet size mismatch";
-  assemble expr ~left_dfa ~right_rev_dfa
+  assemble expr ~left_dfa ~right_dfa
 
 let matcher_expr m = m.expr
 let matcher_compressed m = m.comp
+let matcher_online m = m.fate.(m.comp.c_right.Dfa.start) = Accepts_all
 
-(* Per-domain scratch for the suffix_ok bitset: one Bytes buffer per
-   domain, grown geometrically and reused across calls, so the hot
-   matcher path performs no per-word heap allocation beyond the result
-   list.  Domain-local storage keeps it safe under the Batch pool — no
-   two domains ever share a buffer, and a matcher call never suspends
-   mid-scratch. *)
-let scratch_key : Bytes.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref Bytes.empty)
+(* --- the forward stepper (extraction.mli describes the algorithm) ---
 
-let get_scratch nbits =
-  let cell = Domain.DLS.get scratch_key in
-  let need = (nbits + 7) lsr 3 in
-  if Bytes.length !cell < need then
-    cell := Bytes.create (max 64 (max need (2 * Bytes.length !cell)));
-  !cell
+   Groups sit in [0, n_live) of the g_* arrays, their positions as
+   lists in the cell pool.  [slot.(r)] is the group in right state [r]
+   when [stamp.(r) = gen], so no table is ever cleared, and a step
+   rewrites the groups in place (group [i] moves to an index <= i).
+   Symbols are bound-checked on entry; class and state ids are then in
+   range by construction, which licenses every unsafe access (see
+   Dfa.unsafe_step). *)
 
-(* Raw bit ops on scratch.  Unsafe accesses are licensed by get_scratch
-   sizing; callers write every bit they later read, so no zeroing. *)
-let bit_write b i v =
-  let byte = i lsr 3 and off = i land 7 in
-  let cur = Char.code (Bytes.unsafe_get b byte) in
-  let cur' = if v then cur lor (1 lsl off) else cur land lnot (1 lsl off) in
-  Bytes.unsafe_set b byte (Char.unsafe_chr cur')
+type stepper = {
+  s_comp : compressed;
+  s_fate : fate array;
+  mutable s_q : int; (* left state *)
+  mutable s_pos : int;
+  mutable s_opened : int; (* position of the last candidate opened *)
+  g_state : int array;
+  g_first : int array; (* a group's positions run from cell g_first *)
+  g_last : int array; (* to cell g_last *)
+  mutable n_live : int;
+  slot : int array;
+  stamp : int array;
+  mutable gen : int;
+  mutable cell_pos : int array;
+  mutable cell_next : int array; (* a free cell chains to the next one *)
+  mutable free : int;
+  mutable pins : int array; (* pinned by the last step or finish *)
+  mutable n_pins : int;
+}
 
-let bit_read b i =
-  (Char.code (Bytes.unsafe_get b (i lsr 3)) lsr (i land 7)) land 1 <> 0
+let stepper m =
+  let n = if matcher_online m then 0 else m.comp.c_right.Dfa.size in
+  {
+    s_comp = m.comp;
+    s_fate = m.fate;
+    s_q = m.comp.c_left.Dfa.start;
+    s_pos = 0;
+    s_opened = -1;
+    g_state = Array.make n 0;
+    g_first = Array.make n 0;
+    g_last = Array.make n 0;
+    n_live = 0;
+    slot = Array.make n 0;
+    stamp = Array.make n (-1);
+    gen = 0;
+    cell_pos = [||];
+    cell_next = [||];
+    free = -1;
+    pins = Array.make 1 0;
+    n_pins = 0;
+  }
 
-(* The zero-allocation fast path, run in class space: each symbol is
-   mapped through comp.class_of and stepped on the shrunken tables.
-   Soundness: symbols of one class have identical columns in both DFAs,
-   so the state trajectories — and hence the split set — equal the
-   symbol-space run's (the front oracle layer checks this against
-   Oracle_ref.matcher_splits_fresh).  Symbols are bound-checked in the backward
-   pass (the only unvalidated input); class ids are then in range by
-   construction, so every unsafe access below is licensed — see
-   Dfa.unsafe_step. *)
-let matcher_splits m w =
-  let n = Array.length w in
-  let c = m.comp in
-  let cls = c.class_of and mark = c.c_mark in
-  let rd = c.c_right_rev and ld = c.c_left in
-  (* suffix_ok bit i ⇔ w[i..n) ∈ L(E2); computed right-to-left. *)
-  let suffix_ok = get_scratch (n + 1) in
-  let state = ref rd.Dfa.start in
-  bit_write suffix_ok n (Array.unsafe_get rd.Dfa.finals !state);
-  for i = n - 1 downto 0 do
-    let a = Array.unsafe_get w i in
-    if a < 0 || a >= Array.length cls then
-      invalid_arg "Extraction.matcher_splits: symbol out of range";
-    state := Dfa.unsafe_step rd !state (Array.unsafe_get cls a);
-    bit_write suffix_ok i (Array.unsafe_get rd.Dfa.finals !state)
-  done;
-  let acc = ref [] in
-  let lstate = ref ld.Dfa.start in
+let opened s = if s.s_opened = s.s_pos - 1 then s.s_opened else -1
+let pinned s i = s.pins.(i)
+
+let grow a len =
+  let b = Array.make (2 * max 4 len) (-1) in
+  Array.blit a 0 b 0 len;
+  b
+
+let pin s pos =
+  if s.n_pins = Array.length s.pins then s.pins <- grow s.pins s.n_pins;
+  Array.unsafe_set s.pins s.n_pins pos;
+  s.n_pins <- s.n_pins + 1
+
+(* Return the cells [f .. l] to the pool, pinning their positions
+   first when [keep]. *)
+let release s ~keep f l =
+  let rec walk c =
+    pin s (Array.unsafe_get s.cell_pos c);
+    if c <> l then walk (Array.unsafe_get s.cell_next c)
+  in
+  if keep then walk f;
+  Array.unsafe_set s.cell_next l s.free;
+  s.free <- f
+
+(* Add the cells [f .. l] to the group in right state [r]. *)
+let join s r f l =
+  if Array.unsafe_get s.stamp r = s.gen then begin
+    let j = Array.unsafe_get s.slot r in
+    Array.unsafe_set s.cell_next (Array.unsafe_get s.g_last j) f;
+    Array.unsafe_set s.g_last j l
+  end
+  else begin
+    let j = s.n_live in
+    Array.unsafe_set s.stamp r s.gen;
+    Array.unsafe_set s.slot r j;
+    Array.unsafe_set s.g_state j r;
+    Array.unsafe_set s.g_first j f;
+    Array.unsafe_set s.g_last j l;
+    s.n_live <- j + 1
+  end
+
+let open_candidate s pos =
+  let r = s.s_comp.c_right.Dfa.start in
+  s.s_opened <- pos;
+  match Array.unsafe_get s.s_fate r with
+  | Accepts_all -> pin s pos
+  | Accepts_none -> ()
+  | Undecided ->
+      if s.free < 0 then begin
+        let n = Array.length s.cell_pos in
+        s.cell_pos <- grow s.cell_pos n;
+        s.cell_next <- grow s.cell_next n;
+        for c = Array.length s.cell_pos - 1 downto n do
+          s.cell_next.(c) <- s.free;
+          s.free <- c
+        done
+      end;
+      let c = s.free in
+      s.free <- Array.unsafe_get s.cell_next c;
+      Array.unsafe_set s.cell_pos c pos;
+      join s r c c
+
+let advance s k =
+  let n = s.n_live in
+  s.n_live <- 0;
+  s.gen <- s.gen + 1;
   for i = 0 to n - 1 do
-    let a = Array.unsafe_get cls (Array.unsafe_get w i) in
-    if a = mark && Array.unsafe_get ld.Dfa.finals !lstate
-       && bit_read suffix_ok (i + 1)
-    then acc := i :: !acc;
-    lstate := Dfa.unsafe_step ld !lstate a
+    let f = Array.unsafe_get s.g_first i and l = Array.unsafe_get s.g_last i in
+    let r = Dfa.unsafe_step s.s_comp.c_right (Array.unsafe_get s.g_state i) k in
+    match Array.unsafe_get s.s_fate r with
+    | Undecided -> join s r f l
+    | Accepts_all -> release s ~keep:true f l
+    | Accepts_none -> release s ~keep:false f l
+  done
+
+let step s a =
+  let c = s.s_comp in
+  if a < 0 || a >= Array.length c.class_of then
+    invalid_arg "Extraction.step: symbol out of range";
+  let k = Array.unsafe_get c.class_of a and q = s.s_q in
+  s.n_pins <- 0;
+  if s.n_live > 0 then advance s k;
+  if k = c.c_mark && Array.unsafe_get c.c_left.Dfa.finals q then
+    open_candidate s s.s_pos;
+  s.s_q <- Dfa.unsafe_step c.c_left q k;
+  s.s_pos <- s.s_pos + 1;
+  s.n_pins
+
+let finish s =
+  let finals = s.s_comp.c_right.Dfa.finals in
+  s.n_pins <- 0;
+  for i = 0 to s.n_live - 1 do
+    release s
+      ~keep:finals.(s.g_state.(i))
+      (Array.unsafe_get s.g_first i) (Array.unsafe_get s.g_last i)
   done;
-  List.rev !acc
+  s.n_live <- 0;
+  s.gen <- s.gen + 1;
+  s.n_pins
+
+(* the [n] positions just pinned, onto [acc] *)
+let rec take s n acc =
+  if n = 0 then acc else take s (n - 1) (s.pins.(n - 1) :: acc)
+
+let matcher_splits m w =
+  let s = stepper m in
+  let acc = Array.fold_left (fun acc a -> take s (step s a) acc) [] w in
+  List.sort Int.compare (take s (finish s) acc)
 
 let classify = function
   | [] -> `No_match
@@ -231,56 +338,24 @@ let classify = function
 
 let matcher_extract m w = classify (matcher_splits m w)
 
-let matcher_online m = m.online
-
-exception Not_online of { expr : string }
-
-let () =
-  Printexc.register_printer (function
-    | Not_online { expr } ->
-        Some
-          (Printf.sprintf
-             "Extraction.Not_online(%s): right side is not Σ*, one-pass \
-              streaming is undefined — maximize the expression first (§7)"
-             expr)
-    | _ -> None)
-
-(* --- online stepping: a Σ* right side accepts every suffix, so only
-   the left DFA runs.  The symbol check licenses the class lookup and
-   unsafe_step (class ids are in range by construction). *)
-
-type stepper = { s_comp : compressed; mutable s_q : int; mutable s_pos : int }
-
-let stepper m =
-  if not m.online then raise (Not_online { expr = to_string m.expr });
-  { s_comp = m.comp; s_q = m.comp.c_left.Dfa.start; s_pos = 0 }
-
-let stepper_pos s = s.s_pos
-
-let step s a =
-  let c = s.s_comp in
-  if a < 0 || a >= Array.length c.class_of then
-    invalid_arg "Extraction.step: symbol out of range";
-  let k = Array.unsafe_get c.class_of a and q = s.s_q in
-  s.s_q <- Dfa.unsafe_step c.c_left q k;
-  s.s_pos <- s.s_pos + 1;
-  k = c.c_mark && Array.unsafe_get c.c_left.Dfa.finals q
-
-(* Each node re-seats the stepper at its own (state, position) before
-   stepping, so forcing a node twice answers the same: the sequence is
-   as persistent as [syms]. *)
+(* The stepper is consumed as the sequence is forced, so each node is
+   meant to be forced once, as [Seq.iter] and [List.of_seq] do; the
+   pins of one step are yielded before the next symbol is pulled. *)
 let matcher_stream_splits m syms =
   let s = stepper m in
-  let rec next syms q pos () =
-    match syms () with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons (a, rest) ->
-        s.s_q <- q;
-        s.s_pos <- pos;
-        if step s a then Seq.Cons (pos, next rest s.s_q (pos + 1))
-        else next rest s.s_q (pos + 1) ()
+  let rec yield i k () =
+    if i < s.n_pins then Seq.Cons (Array.unsafe_get s.pins i, yield (i + 1) k)
+    else k ()
   in
-  next syms s.s_q 0
+  let rec next syms () =
+    match syms () with
+    | Seq.Nil ->
+        ignore (finish s);
+        yield 0 Seq.empty ()
+    | Seq.Cons (a, rest) ->
+        if step s a > 0 then yield 0 (next rest) () else next rest ()
+  in
+  next syms
 
 let splits t w =
   let l = left_lang t and r = right_lang t in

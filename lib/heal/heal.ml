@@ -246,19 +246,13 @@ let resynthesize ?(maximize = true) ?(abs = Abstraction.Tags) ~samples
     match Wrapper.learn ~maximize ~abs ~alpha (samples @ relabeled) with
     | Error e -> Error (Format.asprintf "%a" Wrapper.pp_learn_error e)
     | Ok w ->
-        if not (Extraction.matcher_online w.Wrapper.matcher) then
-          (* cannot happen with the default Σ*-suffix merge, but a
-             healed daemon must never install a matcher it cannot
-             stream *)
-          Error "re-synthesized expression is not online (right side not Σ*)"
-        else
-          Ok
-            {
-              r_wrapper = w;
-              r_used = List.length relabeled;
-              r_discarded = discarded;
-              r_relabeled_lr = via_lr;
-            }
+        Ok
+          {
+            r_wrapper = w;
+            r_used = List.length relabeled;
+            r_discarded = discarded;
+            r_relabeled_lr = via_lr;
+          }
   end
 
 (* --- manager --- *)

@@ -120,8 +120,7 @@ val resynthesize :
     samples plus quarantined pages (so a drifted layout's new tags
     enter the symbol set), LR-locator learning from the original
     samples, per-page re-labeling, §7 merge, disambiguation, and (by
-    default) §6 maximization — and answer a wrapper whose matcher is
-    checked online-capable (Σ*-right).  Runs under the {e ambient}
+    default) §6 maximization — and answer the re-learned wrapper.  Runs under the {e ambient}
     {!Guard} budget: callers wanting a bound install one
     ({!Manager.maybe_heal} does).  Never raises on bad pages; errors
     are strings fit for a heal-failure report. *)

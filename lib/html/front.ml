@@ -258,18 +258,16 @@ exception Need_more of int
 type mode = M_text | M_comment | M_doctype | M_raw | M_rawend | M_skipgt
 
 (* The hot loop allocates nothing per tag: the open-element stack is
-   four parallel arrays (grown by doubling), the start-tag scan keeps
+   three parallel arrays (grown by doubling), the start-tag scan keeps
    its attribute capture in engine fields, and interner traffic is
    counted here and flushed to the global totals once per [feed]. *)
 type engine = {
   tbl : table;
-  arena : bool;
   mutable on_sym : int -> unit;
   (* open elements, [depth - 1] innermost *)
   mutable depth : int;
   mutable st_ent : entry array;
   mutable st_index : int array;  (* child index in the parent *)
-  mutable st_node : int array;  (* arena node id, -1 when the arena is off *)
   mutable st_next : int array;  (* children added so far *)
   mutable root_next : int;
   mutable mode : mode;
@@ -281,10 +279,6 @@ type engine = {
   mutable raw_nonspace : bool;
   raw_name : Buffer.t;  (* M_rawend: end-tag name extension *)
   mutable cur_index : int;  (* valid during on_sym *)
-  mutable cur_node : int;  (* valid during on_sym (arena) *)
-  mutable nd_parent : int array;
-  mutable nd_index : int array;
-  mutable nd_len : int;
   mutable carry : string;
   mutable dead : bool;
   mutable n_hits : int;  (* interner traffic since the last flush *)
@@ -300,15 +294,13 @@ type stream = engine
 
 let stack_cap = 16
 
-let make_engine tbl ~arena =
+let make_engine tbl =
   {
     tbl;
-    arena;
     on_sym = ignore;
     depth = 0;
     st_ent = Array.make stack_cap dummy;
     st_index = Array.make stack_cap 0;
-    st_node = Array.make stack_cap 0;
     st_next = Array.make stack_cap 0;
     root_next = 0;
     mode = M_text;
@@ -320,10 +312,6 @@ let make_engine tbl ~arena =
     raw_nonspace = false;
     raw_name = Buffer.create 8;
     cur_index = -1;
-    cur_node = -1;
-    nd_parent = (if arena then Array.make 64 0 else [||]);
-    nd_index = (if arena then Array.make 64 0 else [||]);
-    nd_len = 0;
     carry = "";
     dead = false;
     n_hits = 0;
@@ -354,17 +342,15 @@ let flush_counts eng =
     eng.n_misses <- 0
   end
 
-let push eng e index node =
+let push eng e index =
   let d = eng.depth in
   if d = Array.length eng.st_ent then begin
     eng.st_ent <- grow_with dummy eng.st_ent d;
     eng.st_index <- grow eng.st_index d;
-    eng.st_node <- grow eng.st_node d;
     eng.st_next <- grow eng.st_next d
   end;
   Array.unsafe_set eng.st_ent d e;
   Array.unsafe_set eng.st_index d index;
-  Array.unsafe_set eng.st_node d node;
   Array.unsafe_set eng.st_next d 0;
   eng.depth <- d + 1
 
@@ -381,23 +367,6 @@ let add_child eng =
     i
   end
 
-let parent_node eng =
-  if eng.depth > 0 then Array.unsafe_get eng.st_node (eng.depth - 1) else -1
-
-let alloc_node eng parent index =
-  if not eng.arena then -1
-  else begin
-    if eng.nd_len = Array.length eng.nd_parent then begin
-      eng.nd_parent <- grow eng.nd_parent eng.nd_len;
-      eng.nd_index <- grow eng.nd_index eng.nd_len
-    end;
-    let nd = eng.nd_len in
-    eng.nd_parent.(nd) <- parent;
-    eng.nd_index.(nd) <- index;
-    eng.nd_len <- nd + 1;
-    nd
-  end
-
 (* path of the node whose symbol is being emitted (on_sym context) *)
 let cur_path eng =
   let acc = ref [ eng.cur_index ] in
@@ -406,19 +375,11 @@ let cur_path eng =
   done;
   !acc
 
-(* path of an arena node, outermost index first *)
-let node_path eng nd =
-  let rec up acc nd =
-    if nd < 0 then acc else up (eng.nd_index.(nd) :: acc) eng.nd_parent.(nd)
-  in
-  up [] nd
-
 let close_top eng =
   if eng.depth > 0 then begin
     let d = eng.depth - 1 in
     eng.depth <- d;
     eng.cur_index <- Array.unsafe_get eng.st_index d;
-    eng.cur_node <- Array.unsafe_get eng.st_node d;
     let e = Array.unsafe_get eng.st_ent d in
     if e.e_close >= 0 then eng.on_sym e.e_close
     else raise (Unknown_sym ("/" ^ e.e_key))
@@ -506,9 +467,7 @@ let process_start eng s e npos nlen ~self_closing =
     else raise (Unknown_sym e.e_key)
   in
   let index = add_child eng in
-  let node = alloc_node eng (parent_node eng) index in
   eng.cur_index <- index;
-  eng.cur_node <- node;
   eng.on_sym sym;
   if self_closing || e.e_void then begin
     (* leaf; a self-closing non-void element still emits its close *)
@@ -516,7 +475,7 @@ let process_start eng s e npos nlen ~self_closing =
       if e.e_close >= 0 then eng.on_sym e.e_close
       else raise (Unknown_sym ("/" ^ e.e_key))
   end
-  else push eng e index node;
+  else push eng e index;
   if (not self_closing) && e.e_raw then begin
     eng.mode <- M_raw;
     eng.raw_close <- (if e.e_key = "SCRIPT" then "</script" else "</style");
@@ -956,7 +915,7 @@ let account_page nbytes =
 let word tbl html =
   let sp = Obs.Span.enter Obs.Span.Front in
   match
-    let eng = make_engine tbl ~arena:false in
+    let eng = make_engine tbl in
     let buf = ref (Array.make 64 0) and len = ref 0 in
     eng.on_sym <-
       (fun sym ->
@@ -987,63 +946,38 @@ let record_geometry m =
   Atomic.set last_alpha (Array.length comp.Extraction.class_of);
   Atomic.set last_classes comp.Extraction.n_classes
 
-(* online: push each id through the matcher's stepper as it arrives
-   (the suffix is Σ*, always accepted).  The first hit's path is
-   captured from the live stack. *)
-let run_online tbl m html =
+(* Each id steps the matcher as it arrives.  A candidate's path is
+   taken from the live stack when it opens; once two splits have
+   pinned the page is ambiguous and no further path is needed. *)
+let run tbl m html =
   let st = Extraction.stepper m in
-  let eng = make_engine tbl ~arena:false in
-  let hits = ref [] and nhits = ref 0 in
-  let path = ref [] in
+  let eng = make_engine tbl in
+  let hits = ref [] and nhits = ref 0 and paths = ref [] in
+  let take n =
+    for i = 0 to n - 1 do
+      hits := Extraction.pinned st i :: !hits
+    done;
+    nhits := !nhits + n
+  in
   eng.on_sym <-
     (fun sym ->
-      if Extraction.step st sym then begin
-        if !nhits = 0 then path := cur_path eng;
-        hits := Extraction.stepper_pos st - 1 :: !hits;
-        incr nhits
-      end);
+      let n = Extraction.step st sym in
+      let pos = Extraction.opened st in
+      if pos >= 0 && !nhits < 2 then paths := (pos, cur_path eng) :: !paths;
+      if n > 0 then take n);
   feed eng html true;
+  take (Extraction.finish st);
   account_page (String.length html);
-  (List.rev !hits, !path)
-
-(* offline: buffer symbol ids plus the emitting node's arena id, run the
-   two-pass (class-space) matcher, then climb parent pointers. *)
-let run_offline tbl m html =
-  let eng = make_engine tbl ~arena:true in
-  let buf = ref (Array.make 64 0) and posn = ref (Array.make 64 0) in
-  let len = ref 0 in
-  eng.on_sym <-
-    (fun sym ->
-      if !len = Array.length !buf then begin
-        buf := grow !buf !len;
-        posn := grow !posn !len
-      end;
-      !buf.(!len) <- sym;
-      !posn.(!len) <- eng.cur_node;
-      incr len);
-  feed eng html true;
-  account_page (String.length html);
-  let w = Array.sub !buf 0 !len in
-  (Extraction.matcher_splits m w, eng, !posn)
+  match List.sort Int.compare !hits with
+  | [] -> Error No_match
+  | [ i ] -> Ok (List.assoc i !paths)
+  | l -> Error (Ambiguous l)
 
 let extract tbl m html =
   let sp = Obs.Span.enter Obs.Span.Front in
   match
     record_geometry m;
-    if Extraction.matcher_online m then begin
-      let hits, path = run_online tbl m html in
-      match hits with
-      | [] -> Error No_match
-      | [ _ ] -> Ok path
-      | l -> Error (Ambiguous l)
-    end
-    else begin
-      let splits, eng, posn = run_offline tbl m html in
-      match splits with
-      | [] -> Error No_match
-      | [ i ] -> Ok (node_path eng posn.(i))
-      | l -> Error (Ambiguous l)
-    end
+    run tbl m html
   with
   | exception Unknown_sym name ->
       Obs.Span.exit sp;
@@ -1057,7 +991,7 @@ let extract tbl m html =
 
 (* --- incremental streaming --- *)
 
-let stream_make tbl = make_engine tbl ~arena:false
+let stream_make tbl = make_engine tbl
 
 let stream_feed st chunk ~emit =
   if st.dead then Ok ()

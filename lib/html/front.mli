@@ -53,12 +53,12 @@ type error =
 
 val extract : table -> Extraction.matcher -> string -> (Html_tree.path, error) result
 (** Raw HTML in, winning node's path out.  The matcher must be
-    compiled over [alphabet table].  Online (Σ*-right) matchers run
-    truly streaming: no document, no word, no origin array — only the
-    open-tag stack, from which the first hit's path is captured.
-    Offline matchers buffer symbol ids in an int arena plus a
-    parent-pointer node arena (still no strings, no tree) and run the
-    two-pass {!Extraction.matcher_splits}. *)
+    compiled over [alphabet table].  Every matcher runs truly
+    streaming: no document, no word, no origin array — each id steps
+    the matcher's {!Extraction.stepper} as it is resolved, and a
+    candidate's path is taken from the open-tag stack when the
+    candidate opens, so a split that pins later (or at the end of the
+    page) still knows its node. *)
 
 (** {1 Incremental streaming}
 

@@ -232,19 +232,21 @@ module Json = struct
     let n = off + len in
     let pos = ref off in
     let fail msg = raise (Bad (!pos, msg)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
+    (* '\000' past the end, so peeking allocates nothing: only
+       [parse_value] must tell the end from a NUL byte; every other
+       branch fails alike on both *)
+    let peek () = if !pos < n then s.[!pos] else '\000' in
     let advance () = incr pos in
     let rec skip_ws () =
       match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
+      | ' ' | '\t' | '\n' | '\r' ->
           advance ();
           skip_ws ()
       | _ -> ()
     in
     let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
+      if peek () = c then advance ()
+      else fail (Printf.sprintf "expected '%c'" c)
     in
     let literal word v =
       let l = String.length word in
@@ -266,10 +268,10 @@ module Json = struct
       let is_float = ref false in
       let rec go () =
         match peek () with
-        | Some ('0' .. '9' | '-' | '+') ->
+        | '0' .. '9' | '-' | '+' ->
             advance ();
             go ()
-        | Some ('.' | 'e' | 'E') ->
+        | '.' | 'e' | 'E' ->
             is_float := true;
             advance ();
             go ()
@@ -290,11 +292,11 @@ module Json = struct
       if depth > 64 then fail "nesting too deep";
       skip_ws ();
       match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
+      | '\000' when !pos >= n -> fail "unexpected end of input"
+      | '{' ->
           advance ();
           skip_ws ();
-          if peek () = Some '}' then begin
+          if peek () = '}' then begin
             advance ();
             Obj []
           end
@@ -307,19 +309,19 @@ module Json = struct
               let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
-              | Some ',' ->
+              | ',' ->
                   advance ();
                   members ((k, v) :: acc)
-              | Some '}' ->
+              | '}' ->
                   advance ();
                   Obj (List.rev ((k, v) :: acc))
               | _ -> fail "expected ',' or '}'"
             in
             members []
-      | Some '[' ->
+      | '[' ->
           advance ();
           skip_ws ();
-          if peek () = Some ']' then begin
+          if peek () = ']' then begin
             advance ();
             List []
           end
@@ -328,21 +330,21 @@ module Json = struct
               let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
-              | Some ',' ->
+              | ',' ->
                   advance ();
                   elements (v :: acc)
-              | Some ']' ->
+              | ']' ->
                   advance ();
                   List (List.rev (v :: acc))
               | _ -> fail "expected ',' or ']'"
             in
             elements []
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some ('-' | '0' .. '9') -> parse_number ()
-      | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
+      | '"' -> Str (parse_string ())
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | 'n' -> literal "null" Null
+      | '-' | '0' .. '9' -> parse_number ()
+      | c -> fail (Printf.sprintf "unexpected '%c'" c)
     in
     match
       let v = parse_value 0 in

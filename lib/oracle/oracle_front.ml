@@ -146,7 +146,7 @@ let tests ~count =
         Array.length comp.Extraction.class_of = n
         && comp.Extraction.c_left.Dfa.alpha_size
            = comp.Extraction.n_classes
-        && comp.Extraction.c_right_rev.Dfa.alpha_size
+        && comp.Extraction.c_right.Dfa.alpha_size
            = comp.Extraction.n_classes
         && Array.for_all
              (fun c -> c >= 0 && c < comp.Extraction.n_classes)
@@ -156,6 +156,14 @@ let tests ~count =
              (Array.init n (fun a ->
                   (comp.Extraction.class_of.(a) = comp.Extraction.c_mark)
                   = (a = mark)))
+        (* the right DFA gives the partition its reversal gives *)
+        && comp.Extraction.class_of
+           = (Dfa.classes ~single:mark
+                [
+                  Lang.dfa (Extraction.left_lang e);
+                  Lang.dfa (Lang.reverse (Extraction.right_lang e));
+                ])
+               .Dfa.class_of
         (* the class-space run answers the symbol-space positions *)
         && Extraction.matcher_splits m w = fresh w
         (* behavioral soundness: swapping each symbol for a random

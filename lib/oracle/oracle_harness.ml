@@ -28,6 +28,7 @@ let all =
     { name = "heal"; tests = Oracle_heal.tests };
     (* last, so the tests above keep their campaign index and cases *)
     { name = "serve"; tests = Oracle_serve.decode_tests };
+    { name = "stepper"; tests = Oracle_stepper.tests };
   ]
 
 let run_one ~seed ~index ~suite t =

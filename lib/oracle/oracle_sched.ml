@@ -2,10 +2,9 @@
    persistent work-stealing pool behind Batch must be observationally
    identical to sequential List.map — for every job count, under cost
    skew (so stealing actually engages), under injected per-item faults,
-   and for the exception-surfacing contract.  The matcher's per-domain
-   scratch fast path is cross-checked against its allocating reference
-   and the quadratic splits specification, both directly and from
-   inside pool workers. *)
+   and for the exception-surfacing contract.  The matcher's stepper is
+   cross-checked against the two-sweep reference and the quadratic
+   splits specification, both directly and from inside pool workers. *)
 
 let with_faults site ~at f =
   Guard_faults.arm site ~at;
@@ -105,7 +104,7 @@ let tests ~count =
         (* jobs=4 over >= 2 items always takes the pooled path *)
         after - before = List.length xs);
     QCheck.Test.make ~count
-      ~name:"matcher: scratch fast path ≡ fresh bitset ≡ splits reference"
+      ~name:"matcher: stepper ≡ fresh bitset ≡ splits reference"
       (Oracle_gen.arb_extraction_word_case ())
       (fun (e, w) ->
         let m = Extraction.compile e in
@@ -114,11 +113,11 @@ let tests ~count =
         let reference = Extraction.splits e w in
         hot = fresh && fresh = reference);
     QCheck.Test.make ~count
-      ~name:"matcher: scratch path inside pool workers ≡ sequential"
+      ~name:"matcher: stepper inside pool workers ≡ sequential"
       (Oracle_gen.arb_extraction_word_case ())
       (fun (e, w) ->
-        (* Many words through one shared matcher: per-domain scratch
-           must never bleed between items or domains. *)
+        (* Many words through one shared matcher: matcher state must
+           never bleed between items or domains. *)
         let m = Extraction.compile e in
         let words =
           List.init 12 (fun k ->

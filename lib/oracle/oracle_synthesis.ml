@@ -46,7 +46,7 @@ let same_matcher m m' =
   c.Extraction.class_of = c'.Extraction.class_of
   && c.Extraction.c_mark = c'.Extraction.c_mark
   && Dfa.equal_structure c.Extraction.c_left c'.Extraction.c_left
-  && Dfa.equal_structure c.Extraction.c_right_rev c'.Extraction.c_right_rev
+  && Dfa.equal_structure c.Extraction.c_right c'.Extraction.c_right
 
 let tests ~count =
   [

@@ -312,7 +312,7 @@ let save t path =
 
 let matcher t =
   Extraction.matcher_of_validated t.expr ~left_dfa:t.left_dfa
-    ~right_rev_dfa:t.right_rev_dfa
+    ~right_dfa:t.right_dfa
 
 let seed_caches t =
   let names = Alphabet.names t.alpha in

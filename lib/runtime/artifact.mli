@@ -4,9 +4,10 @@
     (the step {!Guard} meters and {!Lang_cache} amortizes), yet every
     process pays it again from a cold start.  An artifact freezes a
     compiled extraction expression — the alphabet interning table, the
-    expression's concrete syntax, the marked symbol, and the three
-    validated minimal DFAs the runtime needs (left language, right
-    language, {e reversed} right language) — into a stable, versioned
+    expression's concrete syntax, the marked symbol, and three
+    validated minimal DFAs (left language and right language, which
+    the matcher runs on, and the {e reversed} right language, which
+    only seeds {!Lang_cache}) — into a stable, versioned
     binary file, so a fleet ships precompiled wrappers and starts warm
     at zero build cost.
 
@@ -105,8 +106,8 @@ val load : string -> (t, error) result
     [Error (Malformed _)]. *)
 
 val matcher : t -> Extraction.matcher
-(** The compiled matcher, assembled from the verified DFAs without
-    re-validation ({!Extraction.matcher_of_validated}). *)
+(** The compiled matcher, assembled from the verified left and right
+    DFAs without re-validation ({!Extraction.matcher_of_validated}). *)
 
 val seed_caches : t -> unit
 (** Install the loaded DFAs into {!Lang_cache} under the keys the

@@ -92,7 +92,7 @@ let print_exit_stats ~heal ~rt0 ~pool0 =
     (Pool.delta_stats ~earlier:pool0 (Pool.stats ()))
 
 let run ?abs cfg =
-  (* validates the matcher (Not_online) before any I/O is touched *)
+  (* validates the configuration before any I/O is touched *)
   let sup = Supervisor.create ?abs cfg.sup in
   install_signal_handlers ();
   Atomic.set stop_requested false;

@@ -39,6 +39,4 @@ val run : ?abs:Abstraction.t -> config -> int
 (** Run the daemon until EOF or SIGTERM/SIGINT; answers the process
     exit code (0 after a graceful drain, 2 on a startup failure such
     as an unbindable socket path).  [abs] is the served wrapper's
-    abstraction, passed to {!Supervisor.create}.
-    @raise Extraction.Not_online if the configured matcher cannot
-    stream — callers surface it as a structured exit-2 error. *)
+    abstraction, passed to {!Supervisor.create}. *)

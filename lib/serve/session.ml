@@ -22,7 +22,8 @@ type t = {
   capture_max : int;
   mutable capture_overflow : bool;
   stepper : Extraction.stepper;
-      (* the whole matcher state: left-DFA state and position *)
+      (* the whole matcher state: left-DFA state, position and the
+         candidates still open *)
   mutable live : bool;
   mutable failed : bool;
       (* a terminal event (bad symbol / budget / fault) killed the
@@ -73,17 +74,21 @@ let create ~matcher ~alpha ~id ~ordinal ?front ?fuel ?deadline_ms
     pending = [];
   }
 
+(* The [n] splits the last step or finish pinned become events. *)
+let pin t n =
+  for i = 0 to n - 1 do
+    t.splits <- t.splits + 1;
+    t.pending <- Split (Extraction.pinned t.stepper i) :: t.pending
+  done
+
 (* One token: count it, charge one fuel unit (the serve analogue of
    the one-unit-per-DFA-state discipline of lib/automata), step the
-   matcher, and pin a split on a hit.  An exhausting charge leaves the
-   token counted but unstepped. *)
+   matcher, and pin what the step decided.  An exhausting charge leaves
+   the token counted but unstepped. *)
 let push t a =
   t.tokens <- t.tokens + 1;
   Guard.charge ~stage:"stream" 1;
-  if Extraction.step t.stepper a then begin
-    t.splits <- t.splits + 1;
-    t.pending <- Split (Extraction.stepper_pos t.stepper - 1) :: t.pending
-  end
+  pin t (Extraction.step t.stepper a)
 
 let drain_pending t =
   let evs = List.rev t.pending in
@@ -172,16 +177,13 @@ let feed_html t html =
 
 let feed_page t html = advance t feed_html html
 
-(* With a Σ* right side end-of-stream needs no matcher step; only the
-   page front-end is flushed: carried bytes and still-open elements
-   emit their final symbols. *)
+(* End of stream: the page front-end is flushed first (carried bytes
+   and still-open elements emit their final symbols), then the matcher
+   pins the candidates whose right state is final. *)
 let flush t () =
-  match t.f_stream with
-  | None -> ()
-  | Some st -> (
-      match Front.stream_finish st ~emit:(push t) with
-      | Ok () -> ()
-      | Error name -> die t (Bad_symbol name))
+  match Option.map (Front.stream_finish ~emit:(push t)) t.f_stream with
+  | Some (Error name) -> die t (Bad_symbol name)
+  | None | Some (Ok ()) -> pin t (Extraction.finish t.stepper)
 
 let finish t =
   let evs = advance t flush () in

@@ -1,14 +1,14 @@
-(** One streaming extraction session: an online matcher that is pushed
-    one token at a time as a client's frames arrive.
+(** One streaming extraction session: a matcher that is pushed one
+    token at a time as a client's frames arrive.
 
-    Tokens arrive in chunks, interleaved with other sessions'.  After
-    §7 maximization the right side is Σ*, so a split is decided by the
-    left DFA's state when the mark arrives: the session's whole matcher
-    state is one {!Extraction.stepper} (a state and a position).  Each
+    Tokens arrive in chunks, interleaved with other sessions'.  The
+    session's whole matcher state is one {!Extraction.stepper}.  Each
     token — named in a [tokens] frame, or resolved from raw HTML by the
     session's fused front-end — is counted, charged and stepped at
-    once, and a split is pinned the moment the step reports it.  The
-    serve oracle layer cross-checks streamed ≡ offline.
+    once, and a split is emitted the moment the step pins it: at its
+    mark for a Σ* right side (after §7 maximization), as soon as every
+    continuation would keep it otherwise, and at {!finish} at the
+    latest.  The serve oracle layer cross-checks streamed ≡ offline.
 
     {b Budgets.}  Each {!feed}, {!feed_page} and {!finish} call runs
     under the session's own {!Guard.Budget.t} (ambient, per-domain —
@@ -28,7 +28,9 @@
 type t
 
 type event =
-  | Split of int  (** a pinned split position, ascending within a feed *)
+  | Split of int
+      (** a pinned split position; in pin order, which is ascending
+          for a Σ* right side *)
   | Budget_exhausted of Guard.reason  (** terminal *)
   | Bad_symbol of string  (** terminal: token outside the alphabet *)
   | Faulted of string  (** terminal: injected fault or escaped exception *)
@@ -55,10 +57,7 @@ val create :
     0) records the wrapper generation the session was admitted under —
     a healing swap never changes a live session's matcher.  [capture]
     (bytes) enables bounded raw-page capture for the healing
-    quarantine; omitted, the session allocates no capture state.
-    @raise Extraction.Not_online if the matcher's right side is not
-    Σ* (the daemon checks once at startup, so reaching this from
-    [serve] is a bug). *)
+    quarantine; omitted, the session allocates no capture state. *)
 
 val id : t -> int
 val ordinal : t -> int
@@ -99,8 +98,10 @@ val feed_page : t -> string -> event list
 val finish : t -> event list
 (** Signal end-of-stream: flush the page front-end if the session
     streamed raw HTML (carried bytes and implicitly closed elements
-    emit their final symbols, each stepped like any other), then
-    retire the session.  Never raises; idempotent. *)
+    emit their final symbols, each stepped like any other), end the
+    stepper ({!Extraction.finish}: the splits that only the end could
+    decide pin here), then retire the session.  Never raises;
+    idempotent. *)
 
 (** {1 Page capture (healing)} *)
 

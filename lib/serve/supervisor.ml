@@ -119,10 +119,6 @@ let create ?abs cfg =
   if cfg.max_sessions < 1 then
     invalid_arg "Supervisor.create: max_sessions must be positive";
   if cfg.jobs < 1 then invalid_arg "Supervisor.create: jobs must be positive";
-  if not (Extraction.matcher_online cfg.matcher) then
-    raise
-      (Extraction.Not_online
-         { expr = Extraction.to_string (Extraction.matcher_expr cfg.matcher) });
   {
     cfg;
     cur_matcher = cfg.matcher;

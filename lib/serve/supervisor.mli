@@ -75,9 +75,6 @@ val create : ?abs:Abstraction.t -> config -> t
     configured matcher was learned under; page sessions tokenize raw
     HTML with it ({!Front.build}).  Pass the wrapper's own [abs], as
     {!Wrapper.compile} does, or refined symbols never match.
-    @raise Extraction.Not_online if the matcher cannot stream
-    because its right side is not Σ* — refused at startup, not per
-    session.
     @raise Invalid_argument on a non-positive [max_sessions] or
     [jobs]. *)
 

@@ -225,6 +225,14 @@ let test_golden_corpus_loads () =
       | Ok a ->
           let m = Artifact.matcher a in
           let fresh = Extraction.compile a.Artifact.expr in
+          (* the matcher's classes, taken from the stored right DFA, are
+             the ones its reversal gives: --stats class counts and the
+             class-space tables are what they were *)
+          Alcotest.(check (array int))
+            (f ^ ": classes") (Extraction.matcher_compressed m).Extraction.class_of
+            (Dfa.classes ~single:a.Artifact.expr.Extraction.mark
+               [ a.Artifact.left_dfa; a.Artifact.right_rev_dfa ])
+              .Dfa.class_of;
           List.iter
             (fun w ->
               Alcotest.(check (list int))

@@ -520,17 +520,48 @@ let test_stream_splits () =
     (Extraction.matcher_splits m word)
     streamed
 
+(* Without a Σ* right side a split can pin before the end (its right
+   state accepts every continuation) or only at it.  On every word up
+   to length 6, the streamed splits are the batch ones as a set, and
+   every split pinned before the end is one of them. *)
 let test_stream_requires_sigma_star () =
-  let e = ex "q* <p> q" in
-  let m = Extraction.compile e in
-  check_bool "not online" false (Extraction.matcher_online m);
-  match Extraction.matcher_stream_splits m (List.to_seq [ 0 ]) with
-  | exception Extraction.Not_online { expr } ->
-      (* structured, not a bare Invalid_argument: the daemon and the
-         CLI report err=not_online from this payload *)
-      Alcotest.(check string)
-        "carries the rendered expression" (Extraction.to_string e) expr
-  | (_ : int Seq.t) -> Alcotest.fail "must reject non-Sigma* right sides"
+  let rec words n =
+    if n = 0 then [ [||] ]
+    else
+      let shorter = words (n - 1) in
+      shorter
+      @ List.concat_map
+          (fun w ->
+            if Array.length w = n - 1 then
+              [ Array.append w [| 0 |]; Array.append w [| 1 |] ]
+            else [])
+          shorter
+  in
+  List.iter
+    (fun src ->
+      let m = Extraction.compile (ex src) in
+      check_bool (src ^ " not online") false (Extraction.matcher_online m);
+      List.iter
+        (fun word ->
+          let batch = Extraction.matcher_splits m word in
+          let name = src ^ " on " ^ Word.to_string ab_pq word in
+          Alcotest.(check (list int))
+            (name ^ ": streamed = batch as sets") batch
+            (List.sort compare
+               (List.of_seq
+                  (Extraction.matcher_stream_splits m (Array.to_seq word))));
+          let s = Extraction.stepper m in
+          Array.iter
+            (fun a ->
+              for i = 0 to Extraction.step s a - 1 do
+                check_bool
+                  (name ^ ": pinned early is final")
+                  true
+                  (List.mem (Extraction.pinned s i) batch)
+              done)
+            word)
+        (words 6))
+    [ "q* <p> q"; "([^p])* <p> q .*"; ".* <p> .* q"; "(p q)* <p> (q p)*" ]
 
 let test_stream_edge_cases () =
   let e = ex "([^p])* <p> .*" in
@@ -714,5 +745,6 @@ let () =
             test_stream_every_truncation;
           Alcotest.test_case "bad symbol raises lazily" `Quick
             test_stream_bad_symbol_is_lazy;
-        ] );
+        ]
+        @ of_oracle ~count:1000 Oracle_stepper.tests );
     ]

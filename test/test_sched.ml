@@ -1,8 +1,8 @@
 (* Tests for the persistent work-stealing domain pool (lib/runtime/pool)
    and its Batch clients: seeding, stealing under skew, stats
    accounting (items, batches and the chunk counter), worker
-   persistence across batches, nesting degradation, and the matcher
-   scratch path inside pool workers. *)
+   persistence across batches, nesting degradation, and the matcher's
+   stepper inside pool workers. *)
 
 open Helpers
 
@@ -125,11 +125,10 @@ let test_batch_exception_order_under_pool () =
           check_string (Printf.sprintf "jobs=%d first error" jobs) "4" msg)
     [ 1; 2; 4; 8 ]
 
-(* --- matcher scratch inside workers --- *)
+(* --- matcher steppers inside workers: each call makes its own, so
+   domains share no matcher state --- *)
 
 let test_scratch_matches_fresh_in_workers () =
-  let e = Extraction.parse ab_pq "(q p)* <p> .*" in
-  let m = Extraction.compile e in
   let rng = Random.State.make [| 42 |] in
   let words =
     List.init 40 (fun _ ->
@@ -137,11 +136,15 @@ let test_scratch_matches_fresh_in_workers () =
           (Random.State.int rng 200)
           (fun _ -> Random.State.int rng 2))
   in
-  let expect = List.map (Oracle_ref.matcher_splits_fresh m) words in
-  check_bool "scratch ≡ fresh sequentially" true
-    (List.map (Extraction.matcher_splits m) words = expect);
-  check_bool "scratch ≡ fresh under jobs=4" true
-    (Batch.map ~jobs:4 (Extraction.matcher_splits m) words = expect)
+  List.iter
+    (fun src ->
+      let m = Extraction.compile (Extraction.parse ab_pq src) in
+      let expect = List.map (Oracle_ref.matcher_splits_fresh m) words in
+      check_bool (src ^ ": stepper ≡ fresh sequentially") true
+        (List.map (Extraction.matcher_splits m) words = expect);
+      check_bool (src ^ ": stepper ≡ fresh under jobs=4") true
+        (Batch.map ~jobs:4 (Extraction.matcher_splits m) words = expect))
+    [ "(q p)* <p> .*"; "(q p)* <p> (q p)* q" ]
 
 let () =
   Alcotest.run "sched"

@@ -274,7 +274,7 @@ let test_session_allocation () =
   let abs = Abstraction.Tags in
   let alpha = Wrapper.alphabet_for ~abs [] in
   let tbl = Front.build ~abs alpha in
-  let m = Extraction.compile (Extraction.parse alpha "([^TD])* <TD> .*") in
+  let matcher src = Extraction.compile (Extraction.parse alpha src) in
   let len = String.length page in
   let page_chunks =
     List.init
@@ -285,12 +285,11 @@ let test_session_allocation () =
     chunks_of 8
       (List.map (Alphabet.name alpha) (Array.to_list (Front.word tbl page)))
   in
-  let session ?fuel () =
-    Session.create ~matcher:m ~alpha ~id:1 ~ordinal:0 ~front:tbl ?fuel ()
-  in
-  let check name ?fuel feed_one chunks =
+  let check name ?fuel ?(m = matcher "([^TD])* <TD> .*") feed_one chunks =
     let run () =
-      let s = session ?fuel () in
+      let s =
+        Session.create ~matcher:m ~alpha ~id:1 ~ordinal:0 ~front:tbl ?fuel ()
+      in
       List.iter (fun c -> ignore (feed_one s c)) chunks;
       ignore (Session.finish s);
       s
@@ -304,7 +303,34 @@ let test_session_allocation () =
   in
   check "feed_page" Session.feed_page page_chunks;
   check "budgeted feed_page" ~fuel:max_int Session.feed_page page_chunks;
-  check "feed" Session.feed names
+  check "feed" Session.feed names;
+  (* the first TD's candidate stays open until the page ends, so every
+     token also steps its group *)
+  let m = matcher "([^TD])* <TD> .* /TD ([^TD])*" in
+  check "feed_page, right side decided at the end" ~m Session.feed_page
+    page_chunks;
+  check "feed, right side decided at the end" ~m Session.feed names
+
+(* Decoding a [tokens] frame allocates its strings, their [Str]
+   boxes and the list cells (about 22 words a symbol); reading the
+   bytes between them allocates nothing.  A 64-symbol frame stays
+   under 1,700 words, where a peek that boxed every byte outside a
+   string took about 2,100. *)
+let test_decode_tokens_allocation () =
+  let names = List.init 64 (fun i -> if i mod 2 = 0 then "TD" else "/TD") in
+  let frame = tokens_line 1 names in
+  (match Frame.decode frame with
+  | Ok (Frame.Tokens { syms; _ }) ->
+      Alcotest.(check (list string)) "decodes" names syms
+  | _ -> Alcotest.fail "expected a tokens frame");
+  let reps = 50 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (Frame.decode frame))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+  if words > 1700.0 then
+    Alcotest.failf "decoding a 64-symbol tokens frame allocates %.0f words" words
 
 (* --- supervisor --- *)
 
@@ -597,7 +623,11 @@ let () =
             test_splitter_short_reads;
         ] );
       ( "decode-in-place",
-        Helpers.of_oracle ~count:300 Oracle_serve.decode_tests );
+        Helpers.of_oracle ~count:300 Oracle_serve.decode_tests
+        @ [
+            Alcotest.test_case "tokens frame allocation" `Quick
+              test_decode_tokens_allocation;
+          ] );
       ( "snapshot-deltas",
         [
           Alcotest.test_case "Runtime.Stats.delta" `Quick
