@@ -1,25 +1,24 @@
 (** Fused page front-end: one pass over raw HTML bytes straight to
     interned symbol ids.
 
-    The §3 pipeline materializes three intermediate structures per page
-    — a token list ([Html_lexer]), a [Html_tree.doc], and a [Word.t]
-    plus origin array ([Tag_seq]) — and allocates a symbol-name string
-    per tag before interning it through the alphabet's hash table.
-    This module fuses the whole front: a single scan over the raw
-    bytes resolves each tag {e slice} directly to its symbol id via a
-    precomputed case-folded token table (open addressing keyed on the
-    lexeme slice — no name string, no [Hashtbl] probe on an allocated
-    key), replays [Html_tree.of_tokens]'s structural rules (implicit
-    closes, void and self-closing elements, the [script]/[style]
-    raw-text model) on an O(depth) stack of open frames, and feeds ids
-    to the matcher as they are produced.
+    The tree path builds a whole [Html_tree.doc] per page and then a
+    [Word.t] plus origin array ([Tag_seq]), allocating a symbol-name
+    string per tag on the way.  This module is instead an
+    {!Html_scan} sink: the scanner's events, with the structural rules
+    (implied closes, void and self-closing elements, the
+    [script]/[style] raw-text model) already applied, resolve each tag
+    {e slice} directly to its symbol id through a precomputed
+    case-folded table (open addressing keyed on the name slice — no
+    name string, no [Hashtbl] probe on an allocated key), and each id
+    steps the matcher as it is produced.
 
     Equivalence contract: for every input string — well-formed or not —
     the symbol sequence equals
     [Tag_seq.of_doc_indexed alpha (Html_tree.parse s)], including which
     unknown symbol is reported first, and the extracted node path
-    equals the tree path the origin array yields.  The [front] oracle
-    layer and the fuzz totality suite check this differentially.
+    equals the tree path the origin array yields.  Both sides read the
+    same scanner; the [front] oracle layer and the fuzz totality suite
+    check the symbol mapping and the paths differentially.
 
     Matching runs in {e class} space: the matcher's
     {!Extraction.matcher_compressed} tables collapse symbols with
@@ -35,7 +34,7 @@ val build : ?abs:Abstraction.t -> Alphabet.t -> table
 (** Index every symbol the abstraction can emit: plain start symbols,
     [/T] close symbols, and — under [Tags_with_attrs] — the refined
     [EL:attr=value] symbols grouped under their element's entry.
-    Alphabet symbols no lexed tag can ever produce (lowercase names,
+    Alphabet symbols no scanned tag can ever produce (lowercase names,
     stray [=] forms under [Tags]) are unreachable and get no entry. *)
 
 val alphabet : table -> Alphabet.t

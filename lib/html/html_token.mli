@@ -8,7 +8,7 @@ type attr = { name : string; value : string option }
 type t =
   | Start_tag of { name : string; attrs : attr list; self_closing : bool }
   | End_tag of string
-  | Text of string  (** text run; basic entities decoded by the lexer *)
+  | Text of string  (** text run; basic entities decoded *)
   | Comment of string
   | Doctype of string
 

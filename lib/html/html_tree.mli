@@ -1,11 +1,12 @@
 (** HTML document trees.
 
-    A forgiving stack-based tree builder over {!Html_lexer} tokens:
-    void elements ([BR], [IMG], [INPUT], …) never take children;
-    common implied-end-tag rules are applied ([P] closed by block
-    elements, [LI] by [LI], [TR] by [TR], [TD]/[TH] by [TD]/[TH]/[TR],
-    [OPTION] by [OPTION]); an unmatched end tag closes up to its nearest
-    open ancestor or is dropped.  The result is the DOM-ish structure the
+    {!parse} builds the document from the events of {!Html_scan}, the
+    one HTML scanner, under its rules: void elements ([BR], [IMG], …)
+    never take children, common implied end tags are applied ([P]
+    closed by block elements, [LI] by [LI], …), and an unmatched end
+    tag closes up to its nearest open ancestor or is dropped.  Tag
+    names are upper case, attribute names lower case, and text and
+    attribute values entity-decoded.  The result is the DOM-ish structure the
     perturbation models (§3's change taxonomy) operate on. *)
 
 type node =
@@ -20,7 +21,8 @@ type node =
 type doc = node list
 
 val parse : string -> doc
-val of_tokens : Html_token.t list -> doc
+(** One pass of the scanner over the whole string.  Total, and
+    stack-safe at any nesting depth. *)
 
 val element : ?attrs:(string * string option) list -> string -> node list -> node
 (** Convenience constructor; the name is upper-cased. *)
@@ -31,11 +33,6 @@ val to_string : ?indent:bool -> doc -> string
 (** Serialize back to HTML source. *)
 
 val is_void : string -> bool
-
-val void_names : string list
-(** The upper-case void-element names {!is_void} recognizes — exposed
-    so the fused front-end ([Front]) precomputes voidness per interned
-    entry instead of re-deciding per tag. *)
 
 (** {1 Paths and traversal}
 

@@ -1,6 +1,6 @@
 (* Differential oracles for the fused page front-end: raw bytes
    through [Front] must be observationally identical to the
-   materializing lex → tree → tag-sequence → matcher pipeline, and the
+   materializing parse → tree → tag-sequence → matcher pipeline, and the
    class-compressed matcher tables must be a sound quotient. *)
 
 let arb_seed = QCheck.int_range 0 1_000_000

@@ -1,7 +1,7 @@
 (** Differential oracles for the fused page front-end.
 
     The fused pass ([Front]) must be {e observationally identical} to
-    the materializing pipeline it replaces — lex → tree → tag sequence
+    the materializing pipeline — parse → tree → tag sequence
     → matcher — on every input string: same symbol sequence, same
     extracted node path, same first unknown symbol, wherever the chunk
     boundaries fall and at every job count of the raw batch API, with

@@ -29,6 +29,7 @@ let all =
     (* last, so the tests above keep their campaign index and cases *)
     { name = "serve"; tests = Oracle_serve.decode_tests };
     { name = "stepper"; tests = Oracle_stepper.tests };
+    { name = "html"; tests = Oracle_html.tests };
   ]
 
 let run_one ~seed ~index ~suite t =

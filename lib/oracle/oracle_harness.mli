@@ -32,10 +32,11 @@ val all : suite list
     vs. the offline matcher at every job count, fault/budget isolation
     as byte identity, shed-then-retry equivalence, frame-decoder
     totality), front (the fused zero-copy page pass vs. the
-    materializing lex → tree → tag-sequence pipeline, chunk-boundary
+    materializing parse → tree → tag-sequence pipeline, chunk-boundary
     invariance, class-compression soundness), heal (a healing-disabled
     daemon is byte-identical, drift and quarantine follow their pure
-    models, re-synthesized wrappers keep their training samples). *)
+    models, re-synthesized wrappers keep their training samples), html
+    ([Html_tree.parse] ≡ the reference lexer and tree builder). *)
 
 val run : seed:int -> budget:int -> suite list -> outcome list
 (** [run ~seed ~budget suites] — [budget] is the total number of fuzz

@@ -13,7 +13,7 @@ val arb_bytes : string QCheck.arbitrary
 val arb_htmlish : string QCheck.arbitrary
 (** Tag-soup alphabet (angle brackets, slashes, quotes, equals, bangs,
     dashes, a few letters, whitespace), length ≤ 400 — biased to hit
-    the lexer's state machine. *)
+    the scanner's state machine. *)
 
 val arb_dtdish : string QCheck.arbitrary
 (** Truncated/garbled [<!ELEMENT] declarations. *)

@@ -69,13 +69,16 @@ let decode_sub ?(max_bytes = default_max_bytes) s off len =
             let* id = session_id j in
             let* syms =
               match Obs.Json.member "syms" j with
-              | Obs.Json.List l ->
-                  let rec strings acc = function
-                    | [] -> Ok (List.rev acc)
-                    | Obs.Json.Str s :: rest -> strings (s :: acc) rest
-                    | _ -> Error "\"syms\" must be a list of strings"
-                  in
-                  strings [] l
+              | Obs.Json.List l -> (
+                  (* one pass, one copy: the first non-string aborts it *)
+                  match
+                    List.map
+                      (function Obs.Json.Str s -> s | _ -> raise_notrace Exit)
+                      l
+                  with
+                  | syms -> Ok syms
+                  | exception Exit ->
+                      Error "\"syms\" must be a list of strings")
               | _ -> Error "missing \"syms\" list"
             in
             Ok (Tokens { id; syms })

@@ -178,14 +178,36 @@ let test_deep_nesting () =
     "parsed" true
     (Html_tree.fold (fun n _ _ -> n + 1) 0 doc > 0)
 
+(* ... and parse to the reference lexer and builder's tree. *)
+let test_deep_nesting_reference () =
+  let depth = 20_000 in
+  let buf = Buffer.create (depth * 10) in
+  for _ = 1 to depth do
+    Buffer.add_string buf "<div>"
+  done;
+  Buffer.add_string buf "x";
+  let page = Buffer.contents buf in
+  Alcotest.(check bool)
+    "parse ≡ reference" true
+    (Html_tree.equal (Html_tree.parse page) (Html_ref.parse page))
+
 let test_pathological_attributes () =
   let page =
     "<input " ^ String.concat " " (List.init 500 (fun i -> Printf.sprintf "a%d=\"%d\"" i i)) ^ ">"
   in
-  match Html_lexer.tokenize page with
+  (match Html_lexer.tokenize page with
   | [ Html_token.Start_tag { attrs; _ } ] ->
       Alcotest.(check int) "all attributes kept" 500 (List.length attrs)
-  | _ -> Alcotest.fail "expected one start tag"
+  | _ -> Alcotest.fail "expected one start tag");
+  match Html_tree.parse page with
+  | [ Html_tree.Element { name = "INPUT"; attrs; _ } ] ->
+      Alcotest.(check int) "all attributes parsed" 500 (List.length attrs);
+      Alcotest.(check (option (option string)))
+        "last attribute" (Some (Some "499"))
+        (Html_token.attr
+           (Html_token.Start_tag { name = "INPUT"; attrs; self_closing = false })
+           "a499")
+  | _ -> Alcotest.fail "expected one INPUT element"
 
 (* --- §8 limitation: middle-row extraction is not regular --- *)
 
@@ -250,6 +272,8 @@ let () =
           Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
           Alcotest.test_case "many attributes" `Quick
             test_pathological_attributes;
+          Alcotest.test_case "deep nesting ≡ reference" `Quick
+            test_deep_nesting_reference;
         ] );
       ( "expressiveness-limits",
         [

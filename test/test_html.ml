@@ -1,5 +1,8 @@
-(* Tests for the HTML substrate: lexer, tree builder, serializer,
-   tag-sequence abstraction, path/mark mapping. *)
+(* Tests for the HTML substrate: the reference lexer, the tree parser,
+   serializer, tag-sequence abstraction, path/mark mapping.  The
+   [lexer] cases run on the oracle's reference tokenizer; the
+   attribute and malformed-input ones assert the same facts on
+   [Html_tree.parse], which production reads HTML with. *)
 
 open Helpers
 
@@ -27,30 +30,45 @@ let test_lexer_basics () =
     "<!DOCTYPE html><!-- hi --><p></p>";
   check_tokens "case folding" [ "DIV"; "/DIV" ] "<DiV></dIv>"
 
+let check_attrs t =
+  (match Html_token.attr t "type" with
+  | Some (Some "text") -> ()
+  | _ -> Alcotest.fail "type attr");
+  (match Html_token.attr t "checked" with
+  | Some None -> ()
+  | _ -> Alcotest.fail "valueless attr");
+  (match Html_token.attr t "value" with
+  | Some (Some "42") -> ()
+  | _ -> Alcotest.fail "unquoted attr");
+  match Html_token.attr t "missing" with
+  | None -> ()
+  | _ -> Alcotest.fail "missing attr"
+
 let test_lexer_attrs () =
-  let toks = Html_lexer.tokenize {|<input type="text" checked value=42>|} in
-  match toks with
-  | [ (Html_token.Start_tag _ as t) ] ->
-      (match Html_token.attr t "type" with
-      | Some (Some "text") -> ()
-      | _ -> Alcotest.fail "type attr");
-      (match Html_token.attr t "checked" with
-      | Some None -> ()
-      | _ -> Alcotest.fail "valueless attr");
-      (match Html_token.attr t "value" with
-      | Some (Some "42") -> ()
-      | _ -> Alcotest.fail "unquoted attr");
-      (match Html_token.attr t "missing" with
-      | None -> ()
-      | _ -> Alcotest.fail "missing attr")
-  | _ -> Alcotest.fail "expected one start tag"
+  let html = {|<input type="text" checked value=42>|} in
+  (match Html_lexer.tokenize html with
+  | [ (Html_token.Start_tag _ as t) ] -> check_attrs t
+  | _ -> Alcotest.fail "expected one start tag");
+  match Html_tree.parse html with
+  | [ Html_tree.Element { name = "INPUT"; attrs; children = [] } ] ->
+      check_attrs
+        (Html_token.Start_tag { name = "INPUT"; attrs; self_closing = false })
+  | _ -> Alcotest.fail "expected one INPUT element"
 
 let test_lexer_malformed () =
   (* Must never raise; stray < is text. *)
   check_tokens "stray lt" [ "#text" ] "a < b";
   check_tokens "unterminated tag" [ "P" ] "<p";
   check_tokens "empty" [] "";
-  check_tokens "unterminated comment" [ "#comment" ] "<!-- oops"
+  check_tokens "unterminated comment" [ "#comment" ] "<!-- oops";
+  let check_doc msg expected html =
+    check_bool msg true (Html_tree.equal expected (Html_tree.parse html))
+  in
+  check_doc "parse: stray lt" [ Html_tree.text "a < b" ] "a < b";
+  check_doc "parse: unterminated tag" [ Html_tree.element "P" [] ] "<p";
+  check_doc "parse: empty" [] "";
+  check_doc "parse: unterminated comment" [ Html_tree.Comment " oops" ]
+    "<!-- oops"
 
 let test_lexer_script () =
   check_tokens "script body is raw"
@@ -123,6 +141,15 @@ let test_roundtrip_stability () =
       let d2 = Html_tree.parse (Html_tree.to_string d1) in
       check_bool (Printf.sprintf "stable: %s" src) true (Html_tree.equal d1 d2))
     sources
+
+(* The Figure 1 pages parse to the reference lexer and builder's tree. *)
+let test_tree_figure1_reference () =
+  List.iter
+    (fun doc ->
+      let s = Html_tree.to_string doc in
+      check_bool "parse ≡ reference" true
+        (Html_tree.equal (Html_tree.parse s) (Html_ref.parse s)))
+    [ Pagegen.figure1_top (); Pagegen.figure1_bottom () ]
 
 let test_paths () =
   let doc = Html_tree.parse "<div><p>a</p><p>b</p></div><hr>" in
@@ -527,6 +554,8 @@ let () =
           Alcotest.test_case "paths" `Quick test_paths;
           Alcotest.test_case "find_elements" `Quick test_find_elements;
           prop_serializer_roundtrip;
+          Alcotest.test_case "figure 1 pages ≡ reference" `Quick
+            test_tree_figure1_reference;
         ] );
       ( "tag-seq",
         [
