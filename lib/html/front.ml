@@ -1,5 +1,5 @@
 (* Fused scan → intern → match front-end: the Html_scan sink that
-   resolves each tag to a symbol id.  Per-tag work is a slice hash
+   resolves each tag to a symbol id.  Per-tag work is a name-code
    probe plus a DFA step, and the emitted symbol sequence (and any
    Unknown_sym error) is the one Tag_seq reads off Html_tree.parse,
    because both sinks read the same engine's events. *)
@@ -27,8 +27,10 @@ let last_classes = Atomic.make 0
 (* What a tag name resolves to: its plain start symbol and "/KEY" close
    symbol (-1 when not in the alphabet), and for a refined element the
    refining attribute with its values (lowercase, entity-decoded) and
-   the symbol of each [KEY:attr=value]. *)
+   the symbol of each [KEY:attr=value].  [s_plain] is the start symbol
+   when no attribute is read: [s_open] if unrefined, else -1. *)
 type syms = {
+  s_plain : int;
   s_open : int;
   s_close : int;
   s_attr : string;  (* "" when unrefined *)
@@ -37,7 +39,14 @@ type syms = {
 }
 
 let no_syms =
-  { s_open = -1; s_close = -1; s_attr = ""; s_vals = [||]; s_vsyms = [||] }
+  {
+    s_plain = -1;
+    s_open = -1;
+    s_close = -1;
+    s_attr = "";
+    s_vals = [||];
+    s_vsyms = [||];
+  }
 
 type table = { t_alpha : Alphabet.t; t_entries : syms Html_scan.table }
 
@@ -110,15 +119,16 @@ let build ?(abs = Abstraction.Tags) alpha =
   Hashtbl.iter
     (fun k p ->
       let vals = List.rev p.p_vals in
+      let attr =
+        match Abstraction.refinements abs k with Some a -> a | None -> ""
+      in
       Html_scan.add entries
         (Html_scan.entry k
            {
+             s_plain = (if attr = "" then p.p_open else -1);
              s_open = p.p_open;
              s_close = p.p_close;
-             s_attr =
-               (match Abstraction.refinements abs k with
-               | Some a -> a
-               | None -> "");
+             s_attr = attr;
              s_vals = Array.of_list (List.map fst vals);
              s_vsyms = Array.of_list (List.map snd vals);
            }))
@@ -193,10 +203,8 @@ let sink =
   {
     Html_scan.start =
       (fun eng s e ->
-        let d = e.data in
-        (Html_scan.ctx eng).emit
-          (if String.length d.s_attr = 0 && d.s_open >= 0 then d.s_open
-           else start_sym eng s e));
+        let p = e.data.s_plain in
+        (Html_scan.ctx eng).emit (if p >= 0 then p else start_sym eng s e));
     close =
       (fun eng e ->
         if e.data.s_close >= 0 then (Html_scan.ctx eng).emit e.data.s_close

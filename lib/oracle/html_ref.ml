@@ -98,10 +98,15 @@ let of_tokens (toks : Html_token.t list) : doc =
           else if open_in_stack name then close_until name
           (* unmatched end tag: drop *))
     toks;
-  (* close any leftovers *)
-  while List.length !stack > 1 do
-    close_one ()
-  done;
+  (* close any leftovers, innermost first *)
+  let rec close_all () =
+    match !stack with
+    | _ :: _ :: _ ->
+        close_one ();
+        close_all ()
+    | _ -> ()
+  in
+  close_all ();
   List.rev root.rev_children
 
 

@@ -10,8 +10,12 @@ let of_chars chars size =
       (fun l -> String.init (List.length l) (List.nth l))
       (list_size (int_bound size) (oneofl chars)))
 
+(* mixed-case letters, digits, '_' and ':' make tag names that only
+   case folding identifies; '&', ';' and '#' make entities, in text and
+   in attribute values *)
 let html_chars =
-  [ '<'; '>'; '/'; '='; '"'; '\''; '!'; '-'; 'a'; 'b'; 'p'; ' '; '\n' ]
+  [ '<'; '>'; '/'; '='; '"'; '\''; '!'; '-'; 'a'; 'b'; 'p'; 'A'; 'P'; '1';
+    '_'; ':'; '&'; ';'; '#'; ' '; '\n' ]
 
 let arb_htmlish =
   QCheck.make ~print:String.escaped ~shrink:QCheck.Shrink.string
